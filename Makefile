@@ -8,10 +8,13 @@ all: vet build test
 # deterministic chaos suite, the full race-enabled test suite (which covers
 # the sampler and trace-propagation tests), a koshabench smoke run that
 # fails unless the JSON output carries the latency-percentile fields, and a
-# /metrics exposition smoke against a live koshad.
+# /metrics exposition smoke against a live koshad. It also runs the
+# benchmark module's own unit tests (perfbench is a separate Go module, so
+# the root ./... does not reach it).
 ci: fmt-check vet build
 	$(MAKE) chaos
 	$(GO) test -race ./...
+	cd perfbench && $(GO) test ./...
 	$(MAKE) smoke
 	$(MAKE) scale-smoke
 	$(MAKE) metrics-smoke
@@ -111,8 +114,12 @@ test:
 # the full-vs-delta replica sync comparison, the content-addressed chunk
 # store comparison (dedup ratio, chunk-delta edits, promote repair), and
 # the large-file streaming comparison (stop-and-wait vs pipelined
-# readahead + write-back).
+# readahead + write-back), and the wall-clock data-path microbenches with
+# their allocation counts (the mount's 32 KiB write/read and warm lookup,
+# and the wire codec).
 bench:
+	$(GO) test -run xxx -bench 'BenchmarkKosha(Write32K|Read32K|Lookup)' -benchmem .
+	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Mixed' -benchmem ./internal/wire
 	$(GO) test -run xxx -bench 'BenchmarkParallelMetadata' -cpu=1,2,4,8 -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkAblationMetadataCache' -short -benchtime=1x .
 	$(GO) run ./cmd/koshabench -exp sync

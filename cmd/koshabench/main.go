@@ -19,7 +19,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: table1, table2, fig5, fig6, fig7, scale, model, cache, latency, sync, dedup, stream, churn, rebalance, all")
 	runs := flag.Int("runs", 0, "override the number of averaged runs (0 = default)")
 	quick := flag.Bool("quick", false, "scaled-down workloads for a fast smoke run")
-	format := flag.String("format", "table", "output format: table, csv, or json (json: latency only)")
+	format := flag.String("format", "table", "output format: table, csv, or json")
 	sample := flag.Bool("sample", false, "latency: retain per-phase time-series samples in the output")
 	flag.Parse()
 	csv := *format == "csv"

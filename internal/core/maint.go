@@ -110,15 +110,13 @@ func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simn
 	if err != nil {
 		return res.Cost, err
 	}
-	e := wire.NewEncoder(256)
-	e.PutUint32(kApply)
-	r := applyReq{
+	e := encodeApplyReq(kApply, applyReq{
 		Key:   Key(base),
 		Track: Track{PN: base, Link: "/" + base},
 		Op:    FSOp{Kind: FSRelink, Path: "/" + base, Target: MakeLinkTarget(pn, storeRoot)},
-	}
-	r.encode(e)
+	})
 	resp, c, err := h.n.callKosha(tc, res.Node.Addr, e.Bytes())
+	wire.PutEncoder(e)
 	total := simnet.Seq(res.Cost, c)
 	if err != nil {
 		return total, h.n.noteErr(res.Node.Addr, err)
@@ -136,10 +134,11 @@ func (h maintHost) Relink(tc obs.TraceContext, base, pn, storeRoot string) (simn
 // migration retires an unsalted home whose old replica copies were already
 // converted to links by the relink fan-out.
 func (h maintHost) UntrackAt(tc obs.TraceContext, to simnet.Addr, root string) (simnet.Cost, error) {
-	e := wire.NewEncoder(64)
+	e := wire.GetEncoder(64)
 	e.PutUint32(kUntrack)
 	e.PutString(root)
 	resp, cost, err := h.n.callKosha(tc, to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return cost, h.n.noteErr(to, err)
 	}

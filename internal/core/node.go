@@ -37,7 +37,7 @@ type Config struct {
 	LeafSize int
 	// InterposeCost is I, the fixed per-operation cost of the loopback
 	// interposition (kernel crossing + local socket to koshad + handle
-	// table work, Section 6.1.2). Default 300µs.
+	// table work, Section 6.1.2). Default 210µs.
 	InterposeCost simnet.Cost
 	// LoopbackBytesPerSec is the data rate of the user-space loopback
 	// path (kernel NFS client -> koshad). The SFS-toolkit loopback server
@@ -49,7 +49,7 @@ type Config struct {
 	// node lookup (the local socket round trip plus substrate processing;
 	// "a delay caused by the lookup for the appropriate storage node",
 	// Section 4). Charged per overlay route issued on the client path, on
-	// top of the per-hop network cost. Default 1ms.
+	// top of the per-hop network cost. Default 4ms.
 	P2PLookupCost simnet.Cost
 	// ReadFromReplicas spreads read operations across the primary and its
 	// K replica holders instead of always reading from the primary — the

@@ -86,11 +86,9 @@ var _ repl.Overlay = engineOverlay{}
 // apply sends a mutation to the primary for key at addr. A non-nil trace
 // records the serving node, the replica fan-out width, and an apply span.
 func (n *Node) apply(tr *obs.Trace, to simnet.Addr, key id.ID, t Track, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
-	e := wire.NewEncoder(256 + len(op.Data))
-	e.PutUint32(kApply)
-	r := applyReq{Key: key, Track: t, Op: op}
-	r.encode(e)
+	e := encodeApplyReq(kApply, applyReq{Key: key, Track: t, Op: op})
 	resp, cost, err := n.callKosha(tr.Ctx(), to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return localfs.Attr{}, nfs.Handle{}, cost, n.noteErr(to, err)
 	}
@@ -111,19 +109,18 @@ func (n *Node) apply(tr *obs.Trace, to simnet.Addr, key id.ID, t Track, op FSOp)
 	return attr, fh, cost, nil
 }
 
-// mirror ships a mutation to one replica (replica area).
-func (n *Node) mirror(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp) (simnet.Cost, error) {
-	return n.mirrorArea(tc, to, t, op, false)
-}
-
 // mirrorArea ships a mutation to another node; primary selects the
 // namespace it lands in.
 func (n *Node) mirrorArea(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp, primary bool) (simnet.Cost, error) {
-	e := wire.NewEncoder(256 + len(op.Data))
-	e.PutUint32(kMirror)
-	r := applyReq{Track: t, Op: op, Primary: primary}
-	r.encode(e)
-	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	e := encodeApplyReq(kMirror, applyReq{Track: t, Op: op, Primary: primary})
+	defer wire.PutEncoder(e)
+	return n.sendMirror(tc, to, e.Bytes())
+}
+
+// sendMirror sends one encoded kMirror request. The primary's fan-out
+// encodes the request once and sends the same frame to every replica.
+func (n *Node) sendMirror(tc obs.TraceContext, to simnet.Addr, req []byte) (simnet.Cost, error) {
+	resp, cost, err := n.callKosha(tc, to, req)
 	if err != nil {
 		return cost, n.noteErr(to, err)
 	}
@@ -137,10 +134,11 @@ func (n *Node) mirrorArea(tc obs.TraceContext, to simnet.Addr, t Track, op FSOp,
 
 // remoteStatTree summarizes a subtree on another node.
 func (n *Node) remoteStatTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeStat, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
+	e := wire.GetEncoder(64)
 	e.PutUint32(kStatTree)
 	e.PutString(root)
 	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return TreeStat{}, cost, n.noteErr(to, err)
 	}
@@ -155,10 +153,11 @@ func (n *Node) remoteStatTree(tc obs.TraceContext, to simnet.Addr, root string) 
 // remoteDigestTree fetches the Merkle digest summary of a subtree on
 // another node.
 func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string) (TreeDigest, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
+	e := wire.GetEncoder(64)
 	e.PutUint32(kTreeDigest)
 	e.PutString(root)
 	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return TreeDigest{}, cost, n.noteErr(to, err)
 	}
@@ -173,10 +172,11 @@ func (n *Node) remoteDigestTree(tc obs.TraceContext, to simnet.Addr, root string
 // remoteDirDigests lists the immediate children of a remote directory with
 // their subtree digests; ok is false when the directory is missing.
 func (n *Node) remoteDirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error) {
-	e := wire.NewEncoder(64)
+	e := wire.GetEncoder(64)
 	e.PutUint32(kDirDigests)
 	e.PutString(dir)
 	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return nil, false, cost, n.noteErr(to, err)
 	}
@@ -194,11 +194,12 @@ func (n *Node) remoteDirDigests(tc obs.TraceContext, to simnet.Addr, dir string)
 // A short or missing HAVE reply is normalized to all-false: negotiation is
 // an optimization, so "don't know" must read as "ship it".
 func (n *Node) remoteChunkManifest(tc obs.TraceContext, to simnet.Addr, phys string, want []cas.Hash) (cas.Manifest, bool, []bool, simnet.Cost, error) {
-	e := wire.NewEncoder(64 + len(want)*32)
+	e := wire.GetEncoder(64 + len(want)*32)
 	e.PutUint32(kChunkManifest)
 	e.PutString(phys)
 	cas.PutHashes(e, want)
 	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return nil, false, nil, cost, n.noteErr(to, err)
 	}
@@ -222,11 +223,12 @@ func (n *Node) remoteChunkManifest(tc obs.TraceContext, to simnet.Addr, phys str
 // is nil for hashes the remote could not serve. The engine verifies every
 // returned block against its hash, so no verification happens here.
 func (n *Node) remoteChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string, hashes []cas.Hash) ([][]byte, simnet.Cost, error) {
-	e := wire.NewEncoder(64 + len(hashes)*32)
+	e := wire.GetEncoder(64 + len(hashes)*32)
 	e.PutUint32(kChunkFetch)
 	e.PutString(phys)
 	cas.PutHashes(e, hashes)
 	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return nil, cost, n.noteErr(to, err)
 	}
@@ -259,10 +261,11 @@ func (n *Node) replicaSet(tc obs.TraceContext, primary simnet.Addr, key id.ID, r
 		return reps, 0, nil
 	}
 	n.mu.Unlock()
-	e := wire.NewEncoder(32)
+	e := wire.GetEncoder(32)
 	e.PutUint32(kReplicas)
 	e.PutFixedOpaque(key[:])
 	resp, cost, err := n.callKosha(tc, primary, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return nil, cost, n.noteErr(primary, err)
 	}
@@ -336,10 +339,11 @@ func (n *Node) rootHandle(to simnet.Addr) (nfs.Handle, simnet.Cost, error) {
 // reports whether the target's state moved — handles resolved before the
 // call may then be stale and must be re-resolved.
 func (n *Node) promote(tc obs.TraceContext, to simnet.Addr, t Track) (changed bool, cost simnet.Cost, err error) {
-	e := wire.NewEncoder(128)
+	e := wire.GetEncoder(128)
 	e.PutUint32(kPromote)
 	putTrack(e, t)
 	resp, cost, err := n.callKosha(tc, to, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return false, cost, n.noteErr(to, err)
 	}

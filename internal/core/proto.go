@@ -107,12 +107,19 @@ func putFSOp(e *wire.Encoder, op FSOp) {
 	}
 }
 
+// chunkRefMinSize is the encoding of one repl.ChunkRef: digest, length and
+// inline flag.
+const chunkRefMinSize = wire.DigestSize + 4 + 4
+
+// getFSOp decodes an FSOp. Data and the write spans borrow from the
+// decoder's buffer, so the op is valid only while the request that carried
+// it is lent to the handler; the store copies what it keeps.
 func getFSOp(d *wire.Decoder) FSOp {
 	var op FSOp
 	op.Kind = FSOpKind(d.Uint32())
 	op.Path = d.String()
 	op.Path2 = d.String()
-	op.Data = d.Opaque()
+	op.Data = d.OpaqueView()
 	op.Offset = d.Int64()
 	op.Mode = d.Uint32()
 	op.Excl = d.Bool()
@@ -121,9 +128,13 @@ func getFSOp(d *wire.Decoder) FSOp {
 	op.Prune = d.Bool()
 	op.Spans = nfs.GetWriteSpans(d)
 	if n := d.ArrayLen(); n > 0 && d.Err() == nil {
-		op.Chunks = make([]repl.ChunkRef, 0, n)
+		op.Chunks = make([]repl.ChunkRef, 0, d.PreallocCap(n, chunkRefMinSize))
 		for i := 0; i < n; i++ {
-			op.Chunks = append(op.Chunks, repl.ChunkRef{Hash: d.Digest(), Len: d.Uint32(), Inline: d.Bool()})
+			cr := repl.ChunkRef{Hash: d.Digest(), Len: d.Uint32(), Inline: d.Bool()}
+			if d.Err() != nil {
+				break
+			}
+			op.Chunks = append(op.Chunks, cr)
 		}
 	}
 	return op
@@ -238,6 +249,21 @@ func (r *applyReq) encode(e *wire.Encoder) {
 	putTrack(e, r.Track)
 	putFSOp(e, r.Op)
 	e.PutBool(r.Primary)
+}
+
+// encodeApplyReq encodes a kApply or kMirror request into a pooled
+// encoder sized for the op's payload. The caller lends e.Bytes() to its
+// call (or to every call of a fan-out) and returns the encoder with
+// wire.PutEncoder once they have returned.
+func encodeApplyReq(proc uint32, r applyReq) *wire.Encoder {
+	size := 256 + len(r.Op.Data)
+	for _, sp := range r.Op.Spans {
+		size += 16 + len(sp.Data)
+	}
+	e := wire.GetEncoder(size)
+	e.PutUint32(proc)
+	r.encode(e)
+	return e
 }
 
 func decodeApplyReq(d *wire.Decoder) applyReq {

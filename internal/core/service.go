@@ -47,7 +47,9 @@ func (n *Node) dispatch(table serviceTable, service string, ctx obs.TraceContext
 	if err != nil {
 		return nil, cost, err
 	}
-	return cp(e), cost, nil
+	// The reply is given to the caller, so the encoder's own buffer is
+	// handed over rather than copied.
+	return e.Bytes(), cost, nil
 }
 
 // koshaProcs is the kosha replication service (Sections 4.2-4.4).
@@ -127,11 +129,15 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 		targets = n.overlay.Leaf()
 	}
 	var fanout []simnet.Cost
-	for _, rep := range targets {
-		c, _ := n.mirror(ctx, rep.Addr, r.Track, r.Op)
-		fanout = append(fanout, c)
-	}
 	if len(targets) > 0 {
+		// One mirror frame serves every replica: the stamped request is
+		// encoded once and lent to each call in turn.
+		req := encodeApplyReq(kMirror, applyReq{Track: r.Track, Op: r.Op})
+		for _, rep := range targets {
+			c, _ := n.sendMirror(ctx, rep.Addr, req.Bytes())
+			fanout = append(fanout, c)
+		}
+		wire.PutEncoder(req)
 		n.repCount.Add(1)
 		n.repFanout.Add(uint64(len(targets)))
 		n.repHist.Observe(time.Duration(simnet.Par(fanout...)))
@@ -351,5 +357,3 @@ func getApplyReplyBody(d *wire.Decoder) (localfs.Attr, nfs.Handle, int) {
 	fh.Ino = d.Uint64()
 	return attr, fh, int(d.Uint32())
 }
-
-func cp(e *wire.Encoder) []byte { return append([]byte(nil), e.Bytes()...) }

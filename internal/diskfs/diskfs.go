@@ -18,6 +18,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -472,40 +473,47 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 
 // Read returns up to count bytes at offset.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	return f.ReadAppend(nil, ino, offset, count)
+}
+
+// ReadAppend is Read appending the bytes to dst (localfs.ReadAppender): the
+// file is read straight into the caller's buffer.
+func (f *FS) ReadAppend(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cost := f.disk.OpCost(0)
 	rel, err := f.pathFor(ino)
 	if err != nil {
-		return nil, false, cost, err
+		return dst, false, cost, err
 	}
 	a, err := f.attrAt(rel)
 	if err != nil {
-		return nil, false, cost, err
+		return dst, false, cost, err
 	}
 	if a.Type == localfs.TypeDir {
-		return nil, false, cost, localfs.ErrIsDir
+		return dst, false, cost, localfs.ErrIsDir
 	}
 	if a.Type != localfs.TypeRegular || offset < 0 || count < 0 {
-		return nil, false, cost, localfs.ErrInval
+		return dst, false, cost, localfs.ErrInval
 	}
 	fh, err := os.Open(f.host(rel))
 	if err != nil {
-		return nil, false, cost, mapErr(err)
+		return dst, false, cost, mapErr(err)
 	}
 	defer fh.Close()
 	if offset >= a.Size {
-		return nil, true, cost, nil
+		return dst, true, cost, nil
 	}
 	end := offset + int64(count)
 	if end > a.Size {
 		end = a.Size
 	}
-	buf := make([]byte, end-offset)
-	if _, err := fh.ReadAt(buf, offset); err != nil {
-		return nil, false, cost, mapErr(err)
+	n := int(end - offset)
+	out := slices.Grow(dst, n)[:len(dst)+n]
+	if _, err := fh.ReadAt(out[len(dst):], offset); err != nil {
+		return dst, false, cost, mapErr(err)
 	}
-	return buf, end == a.Size, f.disk.OpCost(len(buf)), nil
+	return out, end == a.Size, f.disk.OpCost(n), nil
 }
 
 // Write stores data at offset, extending the file as needed.

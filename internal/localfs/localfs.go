@@ -539,32 +539,36 @@ func (f *FS) Readlink(ino uint64) (string, simnet.Cost, error) {
 // Read returns up to count bytes at offset. eof is true when the read
 // reaches the end of the file.
 func (f *FS) Read(ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	return f.ReadAppend(nil, ino, offset, count)
+}
+
+// ReadAppend is Read appending the bytes to dst: the one copy out of the
+// file lands wherever the caller's buffer is (an NFS reply frame).
+func (f *FS) ReadAppend(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	in, err := f.get(ino)
 	if err != nil {
-		return nil, false, f.disk.OpCost(0), err
+		return dst, false, f.disk.OpCost(0), err
 	}
 	if in.typ == TypeDir {
-		return nil, false, f.disk.OpCost(0), ErrIsDir
+		return dst, false, f.disk.OpCost(0), ErrIsDir
 	}
 	if in.typ != TypeRegular {
-		return nil, false, f.disk.OpCost(0), ErrInval
+		return dst, false, f.disk.OpCost(0), ErrInval
 	}
 	if offset < 0 || count < 0 {
-		return nil, false, f.disk.OpCost(0), ErrInval
+		return dst, false, f.disk.OpCost(0), ErrInval
 	}
 	size := int64(len(in.data))
 	if offset >= size {
-		return nil, true, f.disk.OpCost(0), nil
+		return dst, true, f.disk.OpCost(0), nil
 	}
 	end := offset + int64(count)
 	if end > size {
 		end = size
 	}
-	out := make([]byte, end-offset)
-	copy(out, in.data[offset:end])
-	return out, end == size, f.disk.OpCost(len(out)), nil
+	return append(dst, in.data[offset:end]...), end == size, f.disk.OpCost(int(end - offset)), nil
 }
 
 // Write stores data at offset, extending the file as needed.
@@ -1005,6 +1009,26 @@ type Corrupter interface {
 }
 
 var _ Corrupter = (*FS)(nil)
+
+// ReadAppender is implemented by stores that can read straight into a
+// caller's buffer. ReadAppend behaves exactly like Read (same bytes, eof,
+// cost and errors) but appends the bytes to dst and returns the extended
+// slice, dst itself on error.
+type ReadAppender interface {
+	ReadAppend(dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error)
+}
+
+// ReadAppend reads through fs's own ReadAppend when it has one, and through
+// Read plus a copy when it does not (a store wrapped by instrumentation).
+func ReadAppend(fs FileSystem, dst []byte, ino uint64, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+	if ra, ok := fs.(ReadAppender); ok {
+		return ra.ReadAppend(dst, ino, offset, count)
+	}
+	data, eof, cost, err := fs.Read(ino, offset, count)
+	return append(dst, data...), eof, cost, err
+}
+
+var _ ReadAppender = (*FS)(nil)
 
 // FileSystem is the store interface Kosha builds on: both the in-memory FS
 // in this package and the persistent on-disk store in internal/diskfs

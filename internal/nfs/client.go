@@ -150,8 +150,12 @@ func (c Client) ResetStats() {
 // server's duplicate-request cache can recognize retransmissions and keep
 // non-idempotent procedures at-most-once. The client's trace context (if
 // stamped via WithCtx) rides the envelope.
+//
+// The request is encoded into a pooled encoder that is lent to the
+// transport and recycled as soon as the call returns; the reply is given to
+// the caller, so decoders over it may hand out views (Read, ReadStream).
 func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
-	e := wire.NewEncoder(256)
+	e := wire.GetEncoder(256)
 	e.PutUint32(uint32(proc))
 	e.PutUint64(c.s.xid.Add(1))
 	if build != nil {
@@ -159,7 +163,7 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	}
 	lat := c.proc(proc)
 	c.s.rpcs.Add(1)
-	c.s.bytes.Add(uint64(len(e.Bytes())))
+	c.s.bytes.Add(uint64(e.Len()))
 	var resp []byte
 	var cost simnet.Cost
 	var err error
@@ -168,6 +172,7 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	} else {
 		resp, cost, err = c.s.net.Call(c.s.from, to, Service, e.Bytes())
 	}
+	wire.PutEncoder(e)
 	lat.Observe(time.Duration(cost))
 	c.s.bytes.Add(uint64(len(resp)))
 	if err != nil {
@@ -316,7 +321,8 @@ func (c Client) Readlink(to simnet.Addr, h Handle) (string, simnet.Cost, error) 
 	return d.String(), cost, nil
 }
 
-// Read returns up to count bytes of h at offset.
+// Read returns up to count bytes of h at offset. The data is a view of the
+// reply frame, which belongs to the caller.
 func (c Client) Read(to simnet.Addr, h Handle, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcRead, func(e *wire.Encoder) {
 		putHandle(e, h)
@@ -327,13 +333,14 @@ func (c Client) Read(to simnet.Addr, h Handle, offset int64, count int) ([]byte,
 		return nil, false, cost, err
 	}
 	eof := d.Bool()
-	return d.Opaque(), eof, cost, nil
+	return d.OpaqueView(), eof, cost, nil
 }
 
 // ReadStream reads up to chunks consecutive chunk-byte pieces of h starting
 // at offset in one round trip — the pipelined window transfer behind the
 // client's readahead. The reply concatenates the pieces; eof reports whether
-// the file ended within the window.
+// the file ended within the window. Like Read, the data is a view of the
+// reply frame.
 func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
 	d, cost, err := c.call(to, ProcReadStream, func(e *wire.Encoder) {
 		putHandle(e, h)
@@ -345,7 +352,7 @@ func (c Client) ReadStream(to simnet.Addr, h Handle, offset int64, chunk, chunks
 		return nil, false, cost, err
 	}
 	eof := d.Bool()
-	return d.Opaque(), eof, cost, nil
+	return d.OpaqueView(), eof, cost, nil
 }
 
 // WriteBatch stores a vector of coalesced spans into h in one round trip —

@@ -432,15 +432,25 @@ func PutWriteSpans(e *wire.Encoder, spans []WriteSpan) {
 	}
 }
 
-// GetWriteSpans decodes a span vector written by PutWriteSpans.
+// writeSpanMinSize is the smallest encoding of one WriteSpan: the offset
+// and an empty opaque's length word.
+const writeSpanMinSize = 8 + 4
+
+// GetWriteSpans decodes a span vector written by PutWriteSpans. Span data
+// borrows from the decoder's buffer (wire.Decoder.OpaqueView): the spans are
+// valid for as long as the request they came in is lent to the handler.
 func GetWriteSpans(d *wire.Decoder) []WriteSpan {
 	n := d.ArrayLen()
 	if n <= 0 {
 		return nil
 	}
-	spans := make([]WriteSpan, 0, n)
+	spans := make([]WriteSpan, 0, d.PreallocCap(n, writeSpanMinSize))
 	for i := 0; i < n; i++ {
-		spans = append(spans, WriteSpan{Offset: d.Int64(), Data: d.Opaque()})
+		sp := WriteSpan{Offset: d.Int64(), Data: d.OpaqueView()}
+		if d.Err() != nil {
+			return nil
+		}
+		spans = append(spans, sp)
 	}
 	return spans
 }

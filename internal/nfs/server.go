@@ -134,10 +134,10 @@ func (s *Server) drcPut(from simnet.Addr, xid uint64, resp []byte) {
 
 // fail encodes an error-only reply.
 func (s *Server) fail(proc Proc, st Status) []byte {
-	e := wire.NewEncoder(8)
+	e := wire.NewEncoder(4)
 	e.PutUint32(uint32(st))
 	_ = proc
-	return append([]byte(nil), e.Bytes()...)
+	return e.Bytes()
 }
 
 // check resolves a handle to an inode number, validating the incarnation.
@@ -268,14 +268,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		if st != OK {
 			return s.fail(proc, st), 0
 		}
-		data, eof, cost, err := s.fs.Read(ino, offset, int(count))
-		if err != nil {
-			return s.fail(proc, toStatus(err)), cost
-		}
-		e.PutUint32(uint32(OK))
-		e.PutBool(eof)
-		e.PutOpaque(data)
-		return e.Bytes(), cost
+		return s.readReply(e, proc, ino, offset, int(count), 1)
 
 	case ProcReadStream:
 		h := getHandle(d)
@@ -292,27 +285,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 		// The window's chunk reads run back to back against the store; their
 		// disk costs accumulate, but the propagation round trip is paid once
 		// for the whole window — that is the entire point of the procedure.
-		var data []byte
-		var eof bool
-		var cost simnet.Cost
-		off := offset
-		for i := 0; i < chunks; i++ {
-			piece, pe, c, err := s.fs.Read(ino, off, chunk)
-			cost = simnet.Seq(cost, c)
-			if err != nil {
-				return s.fail(proc, toStatus(err)), cost
-			}
-			data = append(data, piece...)
-			off += int64(len(piece))
-			if pe || len(piece) < chunk {
-				eof = pe
-				break
-			}
-		}
-		e.PutUint32(uint32(OK))
-		e.PutBool(eof)
-		e.PutOpaque(data)
-		return e.Bytes(), cost
+		return s.readReply(e, proc, ino, offset, chunk, chunks)
 
 	case ProcWriteBatch:
 		h := getHandle(d)
@@ -341,7 +314,7 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	case ProcWrite:
 		h := getHandle(d)
 		offset := d.Int64()
-		data := d.Opaque()
+		data := d.OpaqueView() // lent with the request; the store copies it
 		if d.Err() != nil {
 			return s.fail(proc, ErrInval), 0
 		}
@@ -572,6 +545,47 @@ func (s *Server) dispatch(proc Proc, d *wire.Decoder) ([]byte, simnet.Cost) {
 	default:
 		return s.fail(proc, ErrInval), 0
 	}
+}
+
+// readReply serves READ (one chunk of count bytes) and READSTREAM: up to
+// chunks consecutive chunk-byte reads of ino from offset, stopping at the
+// first short one, encoded into the empty reply encoder e. The store reads
+// straight into the reply frame, so the file bytes are copied once and the
+// client hands out a view of them.
+func (s *Server) readReply(e *wire.Encoder, proc Proc, ino uint64, offset int64, chunk, chunks int) ([]byte, simnet.Cost) {
+	e.PutUint32(uint32(OK))
+	eofAt := e.Len()
+	e.PutBool(false)
+	var eof bool
+	var cost simnet.Cost
+	var err error
+	e.PutOpaqueAppend(func(buf []byte) []byte {
+		off := offset
+		for i := 0; i < chunks; i++ {
+			before := len(buf)
+			var pe bool
+			var c simnet.Cost
+			buf, pe, c, err = localfs.ReadAppend(s.fs, buf, ino, off, chunk)
+			cost = simnet.Seq(cost, c)
+			if err != nil {
+				return buf
+			}
+			got := len(buf) - before
+			off += int64(got)
+			if pe || got < chunk {
+				eof = pe
+				break
+			}
+		}
+		return buf
+	})
+	if err != nil {
+		return s.fail(proc, toStatus(err)), cost
+	}
+	if eof {
+		e.PutUint32At(eofAt, 1)
+	}
+	return e.Bytes(), cost
 }
 
 // accessFor derives the ACCESS grant mask from an entry's mode bits,

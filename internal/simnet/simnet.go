@@ -9,6 +9,14 @@
 // it would have taken on the modeled link (see Cost). Correctness is
 // exercised by real execution; timing is modeled, so measured overheads are
 // reproducible on any host.
+//
+// Calls pass buffers without copying, under the lend/give rule of the wire
+// package. The request is lent: the handler sees the caller's own bytes and
+// may read them only until it returns (a duplicated delivery reads the same
+// bytes again before the call returns), after which the caller is free to
+// reuse them. The response is given: the caller receives the handler's
+// bytes and owns them from then on, so a handler never hands out a buffer
+// it will write again.
 package simnet
 
 import (
@@ -34,7 +42,9 @@ var ErrUnreachable = errors.New("simnet: destination unreachable")
 var ErrNoSuchService = errors.New("simnet: no such service")
 
 // Handler processes one request and returns the response payload together
-// with the simulated cost of local processing (disk ops, nested calls).
+// with the simulated cost of local processing (disk ops, nested calls). req
+// is lent for the duration of the call: a handler copies anything it keeps.
+// The response is given to the caller.
 type Handler func(from Addr, req []byte) (resp []byte, cost Cost, err error)
 
 // HandlerCtx is a context-aware handler: it additionally receives the trace

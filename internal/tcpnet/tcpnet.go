@@ -8,6 +8,14 @@
 // handler's reported cost, and the caller adds the calibrated link-model
 // cost for the message sizes, so benchmark numbers remain comparable to
 // the in-process emulation regardless of real wire latency.
+//
+// Buffers follow the wire package's lend/give rule. A request is lent: the
+// caller's bytes go to the socket as they are (a vectored write of the
+// envelope header, the request and its padding), and the serving side lends
+// the handler a view of the request inside the frame it just read. A reply
+// is given: the caller receives a view of the reply inside the frame read
+// for it, which nothing else references. No connection keeps a buffer of
+// its own between exchanges.
 package tcpnet
 
 import (
@@ -248,6 +256,8 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 		}
 		break
 	}
+	// The reply frame was read for this call alone, so the response is
+	// handed out as a view of it.
 	d := wire.NewDecoder(frame)
 	ok := d.Bool()
 	cost := simnet.Cost(d.Int64())
@@ -258,7 +268,7 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 		}
 		return nil, cost, decodeRemoteError(msg)
 	}
-	resp := d.Opaque()
+	resp := d.OpaqueView()
 	if d.Err() != nil {
 		return nil, cost, d.Err()
 	}
@@ -266,21 +276,23 @@ func (n *Net) roundTrip(ctx obs.TraceContext, to simnet.Addr, service string, re
 }
 
 // exchange performs one framed request/response on a connection. The trace
-// context travels as three fixed words after the service name.
+// context travels as three fixed words after the service name; the request
+// itself is written from the caller's buffer, not copied into the frame.
 func (n *Net) exchange(c *conn, ctx obs.TraceContext, service string, req []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	e := wire.NewEncoder(88 + len(req))
-	e.PutString(string(n.local))
-	e.PutString(service)
-	e.PutUint64(ctx.Hi)
-	e.PutUint64(ctx.Lo)
-	e.PutUint64(ctx.Span)
-	e.PutOpaque(req)
+	hdr := wire.GetEncoder(96)
+	defer wire.PutEncoder(hdr)
+	hdr.PutUint32(0) // frame length, set below
+	hdr.PutString(string(n.local))
+	hdr.PutString(service)
+	hdr.PutUint64(ctx.Hi)
+	hdr.PutUint64(ctx.Lo)
+	hdr.PutUint64(ctx.Span)
 
 	c.c.SetDeadline(time.Now().Add(n.Timeout))
-	if err := writeFrame(c.c, e.Bytes()); err != nil {
+	if err := writeOpaqueFrame(c.c, hdr, req); err != nil {
 		return nil, err
 	}
 	return readFrame(c.c)
@@ -333,40 +345,47 @@ func (n *Net) serveConn(raw net.Conn) {
 		if err != nil {
 			return
 		}
+		// The handler is lent a view of the request inside the frame just
+		// read. Frames are never reused, so no copy is needed.
 		d := wire.NewDecoder(frame)
 		from := simnet.Addr(d.String())
 		service := d.String()
 		ctx := obs.TraceContext{Hi: d.Uint64(), Lo: d.Uint64(), Span: d.Uint64()}
-		req := d.Opaque()
+		req := d.OpaqueView()
 		if d.Err() != nil {
 			return
 		}
 
-		e := wire.NewEncoder(256)
 		resp, cost, herr := n.serve(ctx, from, service, req)
 		if herr != nil {
-			e.PutBool(false)
-			e.PutInt64(int64(cost))
-			e.PutString(herr.Error())
-		} else {
-			e.PutBool(true)
-			e.PutInt64(int64(cost))
-			e.PutOpaque(resp)
+			resp = []byte(herr.Error()) // an XDR string encodes as an opaque
 		}
+		hdr := wire.GetEncoder(64)
+		hdr.PutUint32(0) // frame length, set by the write
+		hdr.PutBool(herr == nil)
+		hdr.PutInt64(int64(cost))
 		raw.SetWriteDeadline(time.Now().Add(n.Timeout))
-		if err := writeFrame(raw, e.Bytes()); err != nil {
+		err = writeOpaqueFrame(raw, hdr, resp)
+		wire.PutEncoder(hdr)
+		if err != nil {
 			return
 		}
 	}
 }
 
-func writeFrame(w io.Writer, p []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(p)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(p)
+var zeroPad [3]byte
+
+// writeOpaqueFrame sends one frame holding hdr followed by body encoded as
+// an XDR opaque, byte-for-byte what PutOpaque would produce, without
+// copying body: the length word is appended to hdr and the body and its
+// padding go out in the same vectored write. hdr's first word is a
+// placeholder for the frame length, which writeOpaqueFrame fills in.
+func writeOpaqueFrame(w io.Writer, hdr *wire.Encoder, body []byte) error {
+	hdr.PutUint32(uint32(len(body)))
+	pad := zeroPad[:(4-len(body)%4)%4]
+	hdr.PutUint32At(0, uint32(hdr.Len()-4+len(body)+len(pad)))
+	bufs := net.Buffers{hdr.Bytes(), body, pad}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 func TestRoundTripOverTCP(t *testing.T) {
@@ -272,5 +273,39 @@ func TestFreshDialFailureIsUnreachable(t *testing.T) {
 	defer cli.Close()
 	if _, _, err := cli.Call("client", addr, "echo", []byte("x")); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
+	}
+}
+
+// TestFrameLayoutUnchanged pins the framing: a header plus a body written
+// by vectored write must be byte-for-byte the length-prefixed frame holding
+// the header fields and the body as an XDR opaque.
+func TestFrameLayoutUnchanged(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		body := bytes.Repeat([]byte{0xab}, n)
+		hdr := wire.NewEncoder(0)
+		hdr.PutUint32(0)
+		hdr.PutString("10.0.0.1:7001")
+		hdr.PutString("nfs")
+		hdr.PutUint64(1)
+		var got bytes.Buffer
+		if err := writeOpaqueFrame(&got, hdr, body); err != nil {
+			t.Fatal(err)
+		}
+
+		inner := wire.NewEncoder(0)
+		inner.PutString("10.0.0.1:7001")
+		inner.PutString("nfs")
+		inner.PutUint64(1)
+		inner.PutOpaque(body)
+		want := wire.NewEncoder(0)
+		want.PutUint32(uint32(inner.Len()))
+		want.PutFixedOpaque(inner.Bytes())
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: frame %x, want %x", n, got.Bytes(), want.Bytes())
+		}
+		frame, err := readFrame(&got)
+		if err != nil || !bytes.Equal(frame, inner.Bytes()) {
+			t.Fatalf("n=%d: read back %x, err %v", n, frame, err)
+		}
 	}
 }

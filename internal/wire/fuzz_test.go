@@ -23,6 +23,10 @@ func FuzzDecoderNoPanic(f *testing.F) {
 		sink := int(d.Uint32())
 		sink += len(d.String())
 		sink += len(d.Opaque())
+		if v := d.OpaqueView(); cap(v) != len(v) {
+			t.Fatalf("OpaqueView cap %d > len %d", cap(v), len(v))
+		}
+		sink += d.PreallocCap(int(d.Uint32()), 4)
 		sink += len(d.Strings())
 		if d.Bool() {
 			sink++
@@ -59,6 +63,36 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if err := d.Done(); err != nil {
 			t.Fatal(err)
+		}
+
+		// Opaque copies and OpaqueView aliases: flipping the frame's
+		// payload bytes shows through the view only.
+		buf := e.Bytes()
+		dc := NewDecoder(buf)
+		dc.Uint32()
+		_ = dc.String()
+		cp := dc.Opaque()
+		dv := NewDecoder(buf)
+		dv.Uint32()
+		_ = dv.String()
+		view := dv.OpaqueView()
+		if err := dv.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(view, p) || cap(view) != len(view) {
+			t.Fatalf("view %x (cap %d), want %x", view, cap(view), p)
+		}
+		for i := range view {
+			view[i] ^= 0xff
+		}
+		if !bytes.Equal(cp, p) {
+			t.Fatal("Opaque result aliases the frame")
+		}
+		start := len(buf) - len(p) - (4-len(p)%4)%4
+		for i := range p {
+			if buf[start+i] != ^p[i] {
+				t.Fatal("OpaqueView result does not alias the frame")
+			}
 		}
 	})
 }

@@ -3,6 +3,18 @@
 // so reproducing the encoding keeps the substrate faithful: all quantities
 // are big-endian, opaque data is padded to 4-byte boundaries, and strings
 // are length-prefixed opaques.
+//
+// Buffer ownership follows one rule on every RPC path: a request buffer is
+// lent, a reply buffer is given. A caller lends its request bytes to the
+// transport and the handler for the length of the call; neither may keep
+// them (or a slice of them) once the call returns, which is what lets the
+// caller encode requests into a pooled Encoder (GetEncoder/PutEncoder) and
+// reuse it afterwards. A reply is given to the caller outright: it is never
+// pooled or reused by the side that produced it (the NFS duplicate-request
+// cache keeps reply bytes and replays them later). Decoder.OpaqueView
+// borrows from the buffer being decoded, so its result lives exactly as long
+// as that buffer's owner allows; Decoder.Opaque copies for data that must
+// outlive it.
 package wire
 
 import (
@@ -10,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // MaxOpaque bounds a single opaque/string item to keep a corrupted length
@@ -35,6 +48,40 @@ type Encoder struct {
 // NewEncoder returns an encoder with the given initial capacity hint.
 func NewEncoder(capHint int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capHint)}
+}
+
+// maxPooledCap caps the capacity a pooled encoder may keep. It admits the
+// 32 KiB READ/WRITE frames of the data path with room to spare, while the
+// MiB-sized READSTREAM, WRITEBATCH and chunk frames are dropped on return
+// rather than pinned in the pool.
+const maxPooledCap = 64 << 10
+
+var encoderPool sync.Pool // of *Encoder, each with cap(buf) <= maxPooledCap
+
+// GetEncoder returns an empty request encoder with at least capHint bytes
+// of capacity, reusing a pooled one when it is large enough. Hand e.Bytes()
+// to exactly one call (or fan-out of calls) and return the encoder with
+// PutEncoder once they have returned: the bytes are lent, never given.
+func GetEncoder(capHint int) *Encoder {
+	e, _ := encoderPool.Get().(*Encoder)
+	if e == nil {
+		return NewEncoder(max(capHint, 256))
+	}
+	if cap(e.buf) < capHint {
+		e.buf = make([]byte, 0, capHint)
+	}
+	return e
+}
+
+// PutEncoder returns an encoder taken with GetEncoder to the pool. Neither
+// e nor any slice of its Bytes may be used afterwards. Encoders that grew
+// past the pool's capacity cap are dropped for the collector instead.
+func PutEncoder(e *Encoder) {
+	if cap(e.buf) > maxPooledCap {
+		return
+	}
+	e.buf = e.buf[:0]
+	encoderPool.Put(e)
 }
 
 // Bytes returns the encoded buffer. The encoder retains ownership; callers
@@ -82,6 +129,29 @@ func (e *Encoder) PutOpaque(p []byte) {
 	for i := 0; i < pad4(len(p)); i++ {
 		e.buf = append(e.buf, 0)
 	}
+}
+
+// PutOpaqueAppend appends variable-length opaque data that fill writes
+// straight into the frame: fill receives the encoded buffer and must return
+// it extended by the opaque's bytes and nothing else. The length prefix and
+// padding are written for however many bytes fill appended. It lets a
+// producer such as a file read land its bytes in the reply without an
+// intermediate copy.
+func (e *Encoder) PutOpaqueAppend(fill func(buf []byte) []byte) {
+	at := len(e.buf)
+	e.PutUint32(0)
+	e.buf = fill(e.buf)
+	n := len(e.buf) - at - 4
+	binary.BigEndian.PutUint32(e.buf[at:], uint32(n))
+	for i := 0; i < pad4(n); i++ {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+// PutUint32At overwrites the 32-bit word at byte offset off, which must
+// already have been encoded (a placeholder whose value is known only later).
+func (e *Encoder) PutUint32At(off int, v uint32) {
+	binary.BigEndian.PutUint32(e.buf[off:off+4], v)
 }
 
 // PutFixedOpaque appends fixed-length opaque data (no length prefix).
@@ -199,6 +269,19 @@ func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // Opaque reads variable-length opaque data. The returned slice is a copy.
 func (d *Decoder) Opaque() []byte {
+	p := d.OpaqueView()
+	if p == nil {
+		return nil
+	}
+	out := make([]byte, len(p))
+	copy(out, p)
+	return out
+}
+
+// OpaqueView reads variable-length opaque data without copying: the result
+// aliases the decoder's buffer and is valid only as long as that buffer is.
+// It applies the same MaxOpaque and short-buffer checks as Opaque.
+func (d *Decoder) OpaqueView() []byte {
 	n := d.Uint32()
 	if n > MaxOpaque {
 		d.fail(ErrTooLong)
@@ -209,9 +292,10 @@ func (d *Decoder) Opaque() []byte {
 		return nil
 	}
 	d.take(pad4(int(n)))
-	out := make([]byte, n)
-	copy(out, p)
-	return out
+	if d.err != nil {
+		return nil
+	}
+	return p[:n:n]
 }
 
 // FixedOpaque reads n bytes of fixed-length opaque data into dst.
@@ -260,6 +344,15 @@ func (d *Decoder) Strings() []string {
 		}
 	}
 	return out
+}
+
+// PreallocCap bounds the capacity to pre-allocate for n counted-array
+// elements that each take at least minSize encoded bytes: no more elements
+// than the unread bytes could hold. A hostile length prefix therefore
+// cannot force an allocation larger than the frame that carried it; the
+// decode loop runs short (and must stop at the first error) instead.
+func (d *Decoder) PreallocCap(n, minSize int) int {
+	return min(n, d.Remaining()/max(minSize, 1))
 }
 
 // ArrayLen reads a counted-array length prefix and validates it.

@@ -247,6 +247,67 @@ func TestPropEncodedLengthAligned(t *testing.T) {
 	}
 }
 
+func TestOpaqueViewChecks(t *testing.T) {
+	// Same limit and short-buffer checks as Opaque.
+	d := NewDecoder([]byte{0xff, 0xff, 0xff, 0xff})
+	if v := d.OpaqueView(); v != nil || d.Err() != ErrTooLong {
+		t.Fatalf("oversized length: view %v err %v", v, d.Err())
+	}
+	d = NewDecoder([]byte{0, 0, 0, 8, 1, 2, 3})
+	if v := d.OpaqueView(); v != nil || d.Err() != ErrShort {
+		t.Fatalf("short body: view %v err %v", v, d.Err())
+	}
+	d = NewDecoder([]byte{0, 0, 0, 3, 1, 2, 3})
+	if v := d.OpaqueView(); v != nil || d.Err() != ErrShort {
+		t.Fatalf("missing padding: view %v err %v", v, d.Err())
+	}
+}
+
+func TestPutOpaqueAppendMatchesPutOpaque(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		p := bytes.Repeat([]byte{0x5a}, n)
+		want := NewEncoder(32)
+		want.PutUint32(1)
+		want.PutOpaque(p)
+		got := NewEncoder(0)
+		got.PutUint32(0)
+		got.PutOpaqueAppend(func(buf []byte) []byte { return append(buf, p...) })
+		got.PutUint32At(0, 1)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: %x, want %x", n, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+func TestPreallocCap(t *testing.T) {
+	d := NewDecoder(make([]byte, 40))
+	if got := d.PreallocCap(MaxItems, 12); got != 3 {
+		t.Fatalf("PreallocCap(MaxItems, 12) over 40 bytes = %d, want 3", got)
+	}
+	if got := d.PreallocCap(2, 12); got != 2 {
+		t.Fatalf("PreallocCap(2, 12) = %d, want 2", got)
+	}
+}
+
+func TestEncoderPoolDropsLargeBuffers(t *testing.T) {
+	e := GetEncoder(maxPooledCap + 1)
+	if cap(e.Bytes()) < maxPooledCap+1 {
+		t.Fatalf("GetEncoder ignored its capacity hint: cap %d", cap(e.Bytes()))
+	}
+	PutEncoder(e) // dropped, not pooled
+	for i := 0; i < 100; i++ {
+		e := GetEncoder(0)
+		if cap(e.Bytes()) > maxPooledCap {
+			t.Fatalf("pool kept a %d-byte buffer, cap is %d", cap(e.Bytes()), maxPooledCap)
+		}
+		if e.Len() != 0 {
+			t.Fatalf("pooled encoder not reset: %d bytes", e.Len())
+		}
+		e.PutUint32(uint32(i))
+		PutEncoder(e)
+	}
+}
+
 func BenchmarkEncodeMixed(b *testing.B) {
 	payload := bytes.Repeat([]byte{7}, 1024)
 	e := NewEncoder(2048)
