@@ -10,11 +10,18 @@ all: vet build test
 # fails unless the JSON output carries the latency-percentile fields, and a
 # /metrics exposition smoke against a live koshad. It also runs the
 # benchmark module's own unit tests (perfbench is a separate Go module, so
-# the root ./... does not reach it).
+# the root ./... does not reach it), the concurrent-client tests repeated
+# to shake out races between writers, the allocation budgets (which hold
+# without the race detector only), and the path-walker equivalence fuzzers
+# for a few seconds each.
 ci: fmt-check vet build
 	$(MAKE) chaos
 	$(GO) test -race ./...
 	cd perfbench && $(GO) test ./...
+	$(GO) test -count=20 -run Concurrent ./internal/cluster
+	$(GO) test -count=1 -run Alloc . ./internal/localfs
+	$(GO) test -run xxx -fuzz FuzzPathWalk -fuzztime 10s ./internal/localfs
+	$(GO) test -run xxx -fuzz FuzzSplitVirtual -fuzztime 5s ./internal/core
 	$(MAKE) smoke
 	$(MAKE) scale-smoke
 	$(MAKE) metrics-smoke
@@ -116,9 +123,10 @@ test:
 # the large-file streaming comparison (stop-and-wait vs pipelined
 # readahead + write-back), and the wall-clock data-path microbenches with
 # their allocation counts (the mount's 32 KiB write/read and warm lookup,
-# and the wire codec).
+# and the wire codec), and the store's path walk and mutation notification.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkKosha(Write32K|Read32K|Lookup)' -benchmem .
+	$(GO) test -run xxx -bench 'Benchmark(LookupPath|OverwriteNotify)' -benchmem ./internal/localfs
 	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Mixed' -benchmem ./internal/wire
 	$(GO) test -run xxx -bench 'BenchmarkParallelMetadata' -cpu=1,2,4,8 -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkAblationMetadataCache' -short -benchtime=1x .

@@ -89,3 +89,60 @@ func TestRead32KAllocBudget(t *testing.T) {
 		t.Fatalf("32 KiB read allocates %.0f B/op, budget %.0f (1.3x payload)", perOp, limit)
 	}
 }
+
+// TestWrite32KAllocCount pins the object count of BenchmarkKoshaWrite32K's
+// path. The store walks clean paths in place, builds each mutation
+// notification path once, and the digest cache and block index no longer
+// re-clean it, so a 32 KiB write through the primary and its mirror
+// allocates at most 30 objects (59 when each layer rebuilt the path).
+func TestWrite32KAllocCount(t *testing.T) {
+	c, err := kosha.NewCluster(kosha.ClusterOptions{Nodes: 8, Seed: 3, Config: kosha.Config{Replicas: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.Mount(0)
+	dir, _, err := m.MkdirAll("/bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fvh, _, _, err := m.Create(dir, "f", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, payload32K)
+	i := 0
+	allocs := testing.AllocsPerRun(256, func() {
+		if _, _, err := m.Write(fvh, int64(i%64)*payload32K, data); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 30 {
+		t.Fatalf("32 KiB write allocates %.1f objects/op, budget 30", allocs)
+	}
+}
+
+// TestLookupPathAllocCount pins BenchmarkKoshaLookup's warm path: a
+// four-component Mount.LookupPath resolves through the placement cache and
+// NFS LOOKUPs on the storage node. Clean virtual paths are split and joined
+// without re-cleaning, the client walks components in place and decodes
+// replies into a stack decoder, and span labels come from a table, so it
+// allocates at most 24 objects (33 before).
+func TestLookupPathAllocCount(t *testing.T) {
+	c, err := kosha.NewCluster(kosha.ClusterOptions{Nodes: 8, Seed: 5, Config: kosha.Config{Replicas: 1, DistributionLevel: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.Mount(0)
+	if _, err := m.WriteFile("/a/b/c/file.txt", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(256, func() {
+		if _, _, _, err := m.LookupPath("/a/b/c/file.txt"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 24 {
+		t.Fatalf("warm LookupPath allocates %.1f objects/op, budget 24", allocs)
+	}
+}

@@ -43,12 +43,13 @@ func GetHashes(d *wire.Decoder) []Hash {
 	if n == 0 || d.Err() != nil {
 		return nil
 	}
-	hs := make([]Hash, 0, n)
+	hs := make([]Hash, 0, d.PreallocCap(n, len(Hash{})))
 	for i := 0; i < n; i++ {
-		hs = append(hs, d.Digest())
-	}
-	if d.Err() != nil {
-		return nil
+		h := d.Digest()
+		if d.Err() != nil {
+			return nil
+		}
+		hs = append(hs, h)
 	}
 	return hs
 }
@@ -67,12 +68,13 @@ func GetBools(d *wire.Decoder) []bool {
 	if n == 0 || d.Err() != nil {
 		return nil
 	}
-	bs := make([]bool, n)
-	for i := range bs {
-		bs[i] = d.Bool()
-	}
-	if d.Err() != nil {
-		return nil
+	bs := make([]bool, 0, d.PreallocCap(n, 4))
+	for i := 0; i < n; i++ {
+		b := d.Bool()
+		if d.Err() != nil {
+			return nil
+		}
+		bs = append(bs, b)
 	}
 	return bs
 }

@@ -2,9 +2,7 @@ package cas
 
 import (
 	"bytes"
-	"path"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/localfs"
@@ -150,9 +148,8 @@ func (s *Store) ForgetTree(p string) {
 		s.resetLocked()
 		return
 	}
-	prefix := p + "/"
 	for f := range s.files {
-		if f == p || strings.HasPrefix(f, prefix) {
+		if f == p || len(f) > len(p) && f[len(p)] == '/' && f[:len(p)] == p {
 			s.dropLocked(f)
 		}
 	}
@@ -345,4 +342,6 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-func cleanPath(p string) string { return path.Clean("/" + p) }
+// cleanPath returns p clean and absolute. Paths from the store's mutation
+// notifications already are, and pass through without allocating.
+func cleanPath(p string) string { return localfs.Clean(p) }

@@ -416,12 +416,25 @@ func (c *CtlClient) List(vpath string) ([]DirEntry, simnet.Cost, error) {
 	if err != nil {
 		return nil, cost, err
 	}
-	n := d.ArrayLen()
-	out := make([]DirEntry, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, DirEntry{Name: d.String(), Type: localfs.FileType(d.Uint32())})
-	}
+	out := getCtlDirEntries(d)
 	return out, cost, d.Err()
+}
+
+// getCtlDirEntries decodes a listing reply: a counted vector of (name,
+// type), at least 8 bytes each. The count only bounds the loop; the
+// pre-allocation is capped by the bytes left and decoding stops at the
+// first error.
+func getCtlDirEntries(d *wire.Decoder) []DirEntry {
+	n := d.ArrayLen()
+	out := make([]DirEntry, 0, d.PreallocCap(n, 8))
+	for i := 0; i < n; i++ {
+		ent := DirEntry{Name: d.String(), Type: localfs.FileType(d.Uint32())}
+		if d.Err() != nil {
+			break
+		}
+		out = append(out, ent)
+	}
+	return out
 }
 
 // MkdirAll creates a directory path.
@@ -478,12 +491,23 @@ func (c *CtlClient) Peers() ([]Peer, simnet.Cost, error) {
 	if err != nil {
 		return nil, cost, err
 	}
-	n := d.ArrayLen()
-	out := make([]Peer, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Peer{Addr: simnet.Addr(d.String()), NodeID: d.String()})
-	}
+	out := getPeers(d)
 	return out, cost, d.Err()
+}
+
+// getPeers decodes a peers reply: a counted vector of (address, node id)
+// strings, at least 8 bytes each, bounded like getCtlDirEntries.
+func getPeers(d *wire.Decoder) []Peer {
+	n := d.ArrayLen()
+	out := make([]Peer, 0, d.PreallocCap(n, 8))
+	for i := 0; i < n; i++ {
+		p := Peer{Addr: simnet.Addr(d.String()), NodeID: d.String()}
+		if d.Err() != nil {
+			break
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // Stats fetches the remote node's metrics registry and event-log snapshot.

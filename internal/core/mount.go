@@ -463,10 +463,11 @@ func (m *Mount) create(tr *obs.Trace, dir VH, name string, mode uint32, exclusiv
 			return c, err
 		}
 		attr = a
-		m.dropMetaUnder(path.Join(de.vpath, name))
+		vpath := path.Join(de.vpath, name)
+		m.dropMetaUnder(vpath)
 		m.invalAttr(de.vpath)
 		out = m.insert(&ventry{
-			vpath:    path.Join(de.vpath, name),
+			vpath:    vpath,
 			kind:     localfs.TypeRegular,
 			node:     de.node,
 			fh:       fh,
@@ -508,10 +509,11 @@ func (m *Mount) symlink(tr *obs.Trace, dir VH, name, target string) (VH, simnet.
 		if err != nil {
 			return c, err
 		}
-		m.dropMetaUnder(path.Join(de.vpath, name))
+		vpath := path.Join(de.vpath, name)
+		m.dropMetaUnder(vpath)
 		m.invalAttr(de.vpath)
 		out = m.insert(&ventry{
-			vpath:    path.Join(de.vpath, name),
+			vpath:    vpath,
 			kind:     localfs.TypeSymlink,
 			node:     de.node,
 			fh:       fh,

@@ -50,12 +50,13 @@ func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, loca
 			return c, err
 		}
 		attr = a
-		m.dropMetaUnder(path.Join(de.vpath, name))
+		vpath := path.Join(de.vpath, name)
+		m.dropMetaUnder(vpath)
 		m.invalAttr(de.vpath)
 		childPlace := de.place
 		childPlace.Rest = append(append([]string(nil), de.place.Rest...), name)
 		out = m.insert(&ventry{
-			vpath:    path.Join(de.vpath, name),
+			vpath:    vpath,
 			kind:     localfs.TypeDir,
 			node:     de.node,
 			fh:       fh,
@@ -522,7 +523,7 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 	if err != nil {
 		return total, err
 	}
-	srcDepth := len(SplitVirtual(sde.vpath)) + 1
+	srcDepth := virtualDepth(sde.vpath) + 1
 	srcDistributed := srcDepth <= m.n.cfg.DistributionLevel
 
 	if !srcDistributed && sde.node == dde.node && sde.root == dde.root {

@@ -67,6 +67,12 @@ func (m *Mount) mkdirAllOnce(vpath string) (VH, simnet.Cost, error) {
 			}
 			next, _, c, err = m.Mkdir(cur, name, 0o755)
 			total = simnet.Seq(total, c)
+			if nfs.IsStatus(err, nfs.ErrExist) {
+				// Another writer created it between our lookup and
+				// mkdir: already there is what mkdir -p wants.
+				next, _, c, err = m.Lookup(cur, name)
+				total = simnet.Seq(total, c)
+			}
 			if err != nil {
 				return 0, total, err
 			}

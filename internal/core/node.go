@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,10 +280,11 @@ func (p Place) PhysDir() string {
 	if len(p.Rest) == 0 {
 		return p.Store
 	}
-	if p.Store == "/" || p.Store == "" {
-		return "/" + strings.Join(p.Rest, "/")
+	base := p.Store
+	if base == "/" {
+		base = ""
 	}
-	return p.Store + "/" + strings.Join(p.Rest, "/")
+	return joinUnder(base, p.Rest)
 }
 
 // SubtreeRoot returns the physical path of the replicated-hierarchy root

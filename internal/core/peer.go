@@ -236,19 +236,31 @@ func (n *Node) remoteChunkFetch(tc obs.TraceContext, to simnet.Addr, phys string
 	if code := d.Uint32(); code != codeOK {
 		return nil, cost, codeToError(code)
 	}
-	cnt := d.ArrayLen()
-	blocks := make([][]byte, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		if d.Bool() {
-			blocks = append(blocks, d.Opaque())
-		} else {
-			blocks = append(blocks, nil)
-		}
-	}
+	blocks := getChunkBlocks(d)
 	if d.Err() != nil {
 		return nil, cost, d.Err()
 	}
 	return blocks, cost, nil
+}
+
+// getChunkBlocks decodes a CHUNK_FETCH reply's counted block vector: per
+// hash a present flag, then the block when present. The count only bounds
+// the loop; pre-allocation is capped by the bytes left (at least a 4-byte
+// flag per entry) and decoding stops at the first error.
+func getChunkBlocks(d *wire.Decoder) [][]byte {
+	cnt := d.ArrayLen()
+	blocks := make([][]byte, 0, d.PreallocCap(cnt, 4))
+	for i := 0; i < cnt; i++ {
+		var b []byte
+		if d.Bool() {
+			b = d.Opaque()
+		}
+		if d.Err() != nil {
+			break
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks
 }
 
 // replicaSet asks the primary for its current replica holders of a key,
@@ -273,11 +285,7 @@ func (n *Node) replicaSet(tc obs.TraceContext, primary simnet.Addr, key id.ID, r
 	if code := d.Uint32(); code != codeOK {
 		return nil, cost, codeToError(code)
 	}
-	cnt := d.ArrayLen()
-	reps := make([]simnet.Addr, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		reps = append(reps, simnet.Addr(d.String()))
-	}
+	reps := getAddrs(d)
 	if d.Err() != nil {
 		return nil, cost, d.Err()
 	}
@@ -285,6 +293,22 @@ func (n *Node) replicaSet(tc obs.TraceContext, primary simnet.Addr, key id.ID, r
 	n.replicaCache[root] = reps
 	n.mu.Unlock()
 	return reps, cost, nil
+}
+
+// getAddrs decodes a counted vector of node addresses (the replica-set
+// reply), with the pre-allocation capped by the bytes left (a string is at
+// least its 4-byte length) and decoding stopped at the first error.
+func getAddrs(d *wire.Decoder) []simnet.Addr {
+	cnt := d.ArrayLen()
+	addrs := make([]simnet.Addr, 0, d.PreallocCap(cnt, 4))
+	for i := 0; i < cnt; i++ {
+		a := simnet.Addr(d.String())
+		if d.Err() != nil {
+			break
+		}
+		addrs = append(addrs, a)
+	}
+	return addrs
 }
 
 // dropRootHandle forgets a cached export root handle. A node that crashed

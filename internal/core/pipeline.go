@@ -98,7 +98,7 @@ func (m *Mount) beginAt(op obs.OpCode, dir VH, name string) opCtx {
 // (Sections 3.2-3.3) — rather than on the parent's node. Lookup, Mkdir, and
 // Rmdir all branch on this to pick the placement path.
 func (m *Mount) distributedAt(de *ventry) bool {
-	depth := len(SplitVirtual(de.vpath)) + 1
+	depth := virtualDepth(de.vpath) + 1
 	return de.place.VRoot || depth <= m.n.cfg.DistributionLevel
 }
 
@@ -168,7 +168,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		}
 		tr.SetServedBy(string(place.Node))
 		ve := &ventry{
-			vpath:    JoinVirtual(parts),
+			vpath:    localfs.Clean(vpath),
 			kind:     attr.Type,
 			node:     place.Node,
 			fh:       fh,
@@ -214,7 +214,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		}
 		tr.SetServedBy(string(parent.Node))
 		ve := &ventry{
-			vpath:    JoinVirtual(parts),
+			vpath:    localfs.Clean(vpath),
 			kind:     attr.Type,
 			node:     parent.Node,
 			fh:       fh,

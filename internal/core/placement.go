@@ -22,10 +22,10 @@ import (
 	"crypto/sha1"
 	"encoding/hex"
 	"fmt"
-	"path"
 	"strings"
 
 	"repro/internal/id"
+	"repro/internal/localfs"
 	"repro/internal/repl"
 )
 
@@ -85,9 +85,10 @@ func BaseName(pn string) string {
 func Key(pn string) id.ID { return id.HashKey(pn) }
 
 // SplitVirtual normalizes a virtual path (relative to the mount point) and
-// returns its components. "/" yields nil.
+// returns its components. "/" yields nil. A path that is already clean and
+// absolute is split as it stands, without being cleaned again.
 func SplitVirtual(vpath string) []string {
-	clean := path.Clean("/" + vpath)
+	clean := localfs.Clean(vpath)
 	if clean == "/" {
 		return nil
 	}
@@ -99,7 +100,32 @@ func JoinVirtual(parts []string) string {
 	if len(parts) == 0 {
 		return "/"
 	}
-	return "/" + strings.Join(parts, "/")
+	return joinUnder("", parts)
+}
+
+// joinUnder appends "/"+part for every part to base in one allocation.
+func joinUnder(base string, parts []string) string {
+	n := len(base)
+	for _, part := range parts {
+		n += 1 + len(part)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(base)
+	for _, part := range parts {
+		b.WriteByte('/')
+		b.WriteString(part)
+	}
+	return b.String()
+}
+
+// virtualDepth is len(SplitVirtual(vpath)), counted without splitting.
+func virtualDepth(vpath string) int {
+	clean := localfs.Clean(vpath)
+	if clean == "/" {
+		return 0
+	}
+	return strings.Count(clean, "/")
 }
 
 // ControllingDepth returns the depth (1-based component index) of the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"strings"
 
 	"repro/internal/localfs"
 	"repro/internal/nfs"
@@ -61,8 +60,8 @@ func (n *Node) remoteLookupPathIdx(tc obs.TraceContext, to simnet.Addr, phys str
 // pathComponents counts the components of a physical path.
 func pathComponents(p string) int {
 	n := 0
-	for _, part := range strings.Split(p, "/") {
-		if part != "" {
+	for i := 0; i < len(p); i++ {
+		if p[i] != '/' && (i == 0 || p[i-1] == '/') {
 			n++
 		}
 	}

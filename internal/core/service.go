@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cas"
@@ -31,9 +32,25 @@ type procHandler func(n *Node, ctx obs.TraceContext, from simnet.Addr, d *wire.D
 // table entry plus a handler rather than a new arm in a monolithic switch.
 type serviceTable map[uint32]procHandler
 
+// dispatchCodec is one request's decoder and reply encoder. dispatch pools
+// them, since a handler reached through a table escapes both, so serving a
+// request allocates only the reply buffer it gives away.
+type dispatchCodec struct {
+	d wire.Decoder
+	e wire.Encoder
+}
+
+var dispatchCodecs = sync.Pool{New: func() any { return new(dispatchCodec) }}
+
 // dispatch decodes the procedure number and routes to the table entry.
 func (n *Node) dispatch(table serviceTable, service string, ctx obs.TraceContext, from simnet.Addr, req []byte) ([]byte, simnet.Cost, error) {
-	d := wire.NewDecoder(req)
+	c := dispatchCodecs.Get().(*dispatchCodec)
+	defer dispatchCodecs.Put(c)
+	d, e := &c.d, &c.e
+	d.Reset(req)
+	// The request is lent for the call only; the pooled decoder must not
+	// keep it.
+	defer d.Reset(nil)
 	proc := d.Uint32()
 	if d.Err() != nil {
 		return nil, 0, d.Err()
@@ -42,14 +59,15 @@ func (n *Node) dispatch(table serviceTable, service string, ctx obs.TraceContext
 	if !ok {
 		return nil, 0, fmt.Errorf("%s: unknown proc %d", service, proc)
 	}
-	e := wire.NewEncoder(256)
+	e.Grow(256)
 	cost, err := h(n, ctx, from, d, e)
+	// The reply is given to the caller, so the encoder's own buffer is
+	// handed over rather than copied, and the pooled encoder keeps none.
+	reply := e.Detach()
 	if err != nil {
 		return nil, cost, err
 	}
-	// The reply is given to the caller, so the encoder's own buffer is
-	// handed over rather than copied.
-	return e.Bytes(), cost, nil
+	return reply, cost, nil
 }
 
 // koshaProcs is the kosha replication service (Sections 4.2-4.4).
@@ -115,7 +133,6 @@ func (n *Node) serveApply(ctx obs.TraceContext, from simnet.Addr, d *wire.Decode
 		return simnet.Seq(checkCost, cost), nil
 	}
 	r.Track = n.rep.Stamp(r.Track, r.Op)
-	n.rep.Track(r.Track, r.Op)
 	// Fan out to the K leaf-set replicas; the primary "forwards the
 	// RPC to all the replicas" (Section 4.2). Failures are tolerated:
 	// replica repair happens on membership change. Removals of a whole

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"sort"
+	"strings"
 
 	"repro/internal/nfs"
 	"repro/internal/obs"
@@ -89,6 +90,36 @@ var ctlProcNames = map[uint32]string{
 	ctlSlow:      "slow",
 }
 
+// spanKey names one procedure of one node service.
+type spanKey struct {
+	service string
+	proc    uint32
+}
+
+// spanLabels holds the label of every known procedure of every node
+// service, built once so that labelling a server span allocates nothing.
+var spanLabels = func() map[spanKey]string {
+	m := make(map[spanKey]string)
+	add := func(service string, proc uint32) {
+		m[spanKey{service, proc}] = formatSpanName(service, proc)
+	}
+	for p := nfs.ProcNull; p <= nfs.ProcMountRoot; p++ {
+		if !strings.HasPrefix(p.String(), "PROC(") {
+			add(nfs.Service, uint32(p))
+		}
+	}
+	for proc := range koshaProcNames {
+		add(KoshaService, proc)
+	}
+	for proc := uint32(0); pastry.ProcName(proc) != "?"; proc++ {
+		add(pastry.Service, proc)
+	}
+	for proc := range ctlProcNames {
+		add(CtlService, proc)
+	}
+	return m
+}()
+
 // spanName labels a server span "service.proc" by decoding the leading
 // big-endian procedure number every node service puts first on the wire.
 func spanName(service string, req []byte) string {
@@ -96,6 +127,13 @@ func spanName(service string, req []byte) string {
 		return service
 	}
 	proc := binary.BigEndian.Uint32(req[:4])
+	if s, ok := spanLabels[spanKey{service, proc}]; ok {
+		return s
+	}
+	return formatSpanName(service, proc)
+}
+
+func formatSpanName(service string, proc uint32) string {
 	switch service {
 	case nfs.Service:
 		return "nfs." + nfs.Proc(proc).String()

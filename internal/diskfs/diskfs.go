@@ -237,8 +237,9 @@ func checkName(name string) error {
 }
 
 // OnMutation registers fn to be called with the store-relative path of every
-// mutated entry. fn runs while the store's lock is held: it must be fast and
-// must not call back into the store. Implements localfs.MutationNotifier.
+// mutated entry, clean and absolute like every path the store builds. fn
+// runs while the store's lock is held: it must be fast and must not call
+// back into the store. Implements localfs.MutationNotifier.
 func (f *FS) OnMutation(fn func(path string)) {
 	f.mu.Lock()
 	f.notify = append(f.notify, fn)

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/simnet"
 )
@@ -162,8 +163,10 @@ type FS struct {
 // memoized hashes are invalidated exactly when content changes.
 type MutationNotifier interface {
 	// OnMutation registers fn to be called with the affected store path
-	// after every successful mutating operation. fn runs under the store's
-	// internal lock: it must be fast and must not call back into the store.
+	// after every successful mutating operation. The path is clean and
+	// absolute (path.Clean leaves it unchanged), so subscribers use it as
+	// is rather than cleaning it again. fn runs under the store's internal
+	// lock: it must be fast and must not call back into the store.
 	OnMutation(fn func(path string))
 }
 
@@ -294,25 +297,30 @@ func (f *FS) noteMutation(p string) {
 }
 
 // pathOf reconstructs an inode's absolute path from its parent/name
-// backpointers, for mutation notifications on handle-based ops. Caller
-// holds f.mu. Returns "" for unlinked inodes.
+// backpointers, for mutation notifications on handle-based ops. It sizes
+// the path first and builds it in one allocation. Caller holds f.mu.
+// Returns "" for unlinked inodes.
 func (f *FS) pathOf(in *inode) string {
 	if in == f.root {
 		return "/"
 	}
-	var parts []string
+	n := 0
 	for cur := in; cur != f.root; cur = cur.parent {
 		if cur == nil {
 			return ""
 		}
-		parts = append(parts, cur.name)
+		n += 1 + len(cur.name)
 	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
+	buf := make([]byte, n)
+	for cur := in; cur != f.root; cur = cur.parent {
+		n -= len(cur.name)
+		copy(buf[n:], cur.name)
+		n--
+		buf[n] = '/'
 	}
-	return b.String()
+	// buf is never written again, so the string may share it, as
+	// strings.Builder does.
+	return unsafe.String(&buf[0], len(buf))
 }
 
 // charge reserves n additional bytes against capacity (n may be negative).
@@ -752,49 +760,87 @@ func (f *FS) Statfs() (FSStat, simnet.Cost, error) {
 
 // --- path helpers (used by Kosha's store management, tests, and tools) ---
 
-// splitPath normalizes p and returns its components; "/" yields nil.
-func splitPath(p string) ([]string, error) {
-	clean := path.Clean("/" + p)
-	if clean == "/" {
-		return nil, nil
+// Clean returns p as a clean absolute path, path.Clean("/"+p). A path that
+// already is one comes back as it is, without allocating: path.Clean only
+// allocates when its result differs from its input, and prefixing the
+// slash is skipped for a path that has one.
+func Clean(p string) string {
+	if strings.HasPrefix(p, "/") {
+		return path.Clean(p)
 	}
-	parts := strings.Split(clean[1:], "/")
-	for _, part := range parts {
+	return path.Clean("/" + p)
+}
+
+// pathWalker yields the components of a clean absolute path in order,
+// slicing them out of the path in place.
+type pathWalker struct{ rest string }
+
+// next returns the next component, or ok == false past the last one.
+func (w *pathWalker) next() (part string, ok bool) {
+	if w.rest == "" {
+		return "", false
+	}
+	part, w.rest, _ = strings.Cut(w.rest, "/")
+	return part, true
+}
+
+// walkPath cleans p (see Clean), checks every component with checkName,
+// and returns the clean path with a walker over its components. The root
+// has none. A path that is already clean is checked and walked without
+// allocating; hostile input is cleaned first, so it is held to exactly the
+// rules of path.Clean, strings.Split and checkName.
+func walkPath(p string) (string, pathWalker, error) {
+	clean := Clean(p)
+	w := pathWalker{rest: clean[1:]}
+	for check := w; ; {
+		part, ok := check.next()
+		if !ok {
+			return clean, w, nil
+		}
 		if err := checkName(part); err != nil {
-			return nil, err
+			return "", pathWalker{}, err
 		}
 	}
-	return parts, nil
+}
+
+// resolve walks p from the root without following symlinks, returning the
+// inode it names and the clean path. Caller holds f.mu.
+func (f *FS) resolve(p string) (*inode, string, error) {
+	clean, w, err := walkPath(p)
+	if err != nil {
+		return nil, "", err
+	}
+	cur := f.root
+	for part, ok := w.next(); ok; part, ok = w.next() {
+		if cur.typ != TypeDir {
+			return nil, "", ErrNotDir
+		}
+		next, found := cur.children[part]
+		if !found {
+			return nil, "", fmt.Errorf("%w: %q", ErrNoEnt, p)
+		}
+		cur = next
+	}
+	return cur, clean, nil
 }
 
 // LookupPath walks an absolute slash-separated path from the root without
 // following symlinks in intermediate components (Kosha resolves its special
 // links itself, at the overlay layer, not in the local FS).
 func (f *FS) LookupPath(p string) (Attr, error) {
-	parts, err := splitPath(p)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	in, _, err := f.resolve(p)
 	if err != nil {
 		return Attr{}, err
 	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	cur := f.root
-	for _, part := range parts {
-		if cur.typ != TypeDir {
-			return Attr{}, ErrNotDir
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return Attr{}, fmt.Errorf("%w: %q", ErrNoEnt, p)
-		}
-		cur = next
-	}
-	return f.attrOf(cur), nil
+	return f.attrOf(in), nil
 }
 
 // MkdirAll creates the directory path p (mode 0755) and any missing
 // ancestors, returning the attributes of the final directory.
 func (f *FS) MkdirAll(p string) (Attr, error) {
-	parts, err := splitPath(p)
+	clean, w, err := walkPath(p)
 	if err != nil {
 		return Attr{}, err
 	}
@@ -802,12 +848,12 @@ func (f *FS) MkdirAll(p string) (Attr, error) {
 	defer f.mu.Unlock()
 	cur := f.root
 	created := false
-	for _, part := range parts {
+	for part, ok := w.next(); ok; part, ok = w.next() {
 		if cur.typ != TypeDir {
 			return Attr{}, ErrNotDir
 		}
-		next, ok := cur.children[part]
-		if !ok {
+		next, found := cur.children[part]
+		if !found {
 			if err := f.charge(f.inodeOverhead); err != nil {
 				return Attr{}, err
 			}
@@ -829,7 +875,7 @@ func (f *FS) MkdirAll(p string) (Attr, error) {
 		cur = next
 	}
 	if created {
-		f.noteMutation(f.pathOf(cur))
+		f.noteMutation(clean)
 	}
 	return f.attrOf(cur), nil
 }
@@ -837,15 +883,15 @@ func (f *FS) MkdirAll(p string) (Attr, error) {
 // RemoveAll removes the subtree rooted at path p; missing paths are not an
 // error, matching os.RemoveAll.
 func (f *FS) RemoveAll(p string) error {
-	parts, err := splitPath(p)
+	clean, _, err := walkPath(p)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if clean == "/" {
 		// Clearing the root: drop all children (used when a revived node
 		// purges its store, Section 4.3.2).
-		f.mu.Lock()
-		defer f.mu.Unlock()
 		for _, c := range f.root.children {
 			f.release(c)
 		}
@@ -853,17 +899,16 @@ func (f *FS) RemoveAll(p string) error {
 		f.noteMutation("/")
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	cur := f.root
-	for _, part := range parts[:len(parts)-1] {
-		next, ok := cur.children[part]
-		if !ok || next.typ != TypeDir {
+	w := pathWalker{rest: path.Dir(clean)[1:]}
+	for part, ok := w.next(); ok; part, ok = w.next() {
+		next, found := cur.children[part]
+		if !found || next.typ != TypeDir {
 			return nil
 		}
 		cur = next
 	}
-	name := parts[len(parts)-1]
+	name := path.Base(clean)
 	in, ok := cur.children[name]
 	if !ok {
 		return nil
@@ -871,7 +916,7 @@ func (f *FS) RemoveAll(p string) error {
 	f.release(in)
 	delete(cur.children, name)
 	cur.mtime = f.now()
-	f.noteMutation(path.Clean("/" + p))
+	f.noteMutation(clean)
 	return nil
 }
 
@@ -895,24 +940,13 @@ type WalkFunc func(p string, attr Attr, symlinkTarget string) error
 // Walk visits the subtree rooted at p in depth-first lexicographic order,
 // used by replication and migration to enumerate a hierarchy.
 func (f *FS) Walk(p string, fn WalkFunc) error {
-	parts, err := splitPath(p)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	cur, clean, err := f.resolve(p)
 	if err != nil {
 		return err
 	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	cur := f.root
-	for _, part := range parts {
-		if cur.typ != TypeDir {
-			return ErrNotDir
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoEnt, p)
-		}
-		cur = next
-	}
-	return f.walk(path.Clean("/"+p), cur, fn)
+	return f.walk(clean, cur, fn)
 }
 
 func (f *FS) walk(p string, in *inode, fn WalkFunc) error {
@@ -927,9 +961,13 @@ func (f *FS) walk(p string, in *inode, fn WalkFunc) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	prefix := p
+	if p == "/" {
+		prefix = ""
+	}
 	for _, name := range names {
 		child := in.children[name]
-		if err := f.walk(path.Join(p, name), child, fn); err != nil {
+		if err := f.walk(prefix+"/"+name, child, fn); err != nil {
 			return err
 		}
 	}
@@ -949,15 +987,15 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 // WriteFile is a convenience that creates (or truncates) a file by path and
 // writes data, creating missing ancestor directories.
 func (f *FS) WriteFile(p string, data []byte) error {
-	dir, base := path.Split(path.Clean("/" + p))
-	if base == "" {
+	clean := Clean(p)
+	if clean == "/" {
 		return ErrInval
 	}
-	dattr, err := f.MkdirAll(dir)
+	dattr, err := f.MkdirAll(path.Dir(clean))
 	if err != nil {
 		return err
 	}
-	fattr, _, err := f.Create(dattr.Ino, base, 0o644, false)
+	fattr, _, err := f.Create(dattr.Ino, path.Base(clean), 0o644, false)
 	if err != nil {
 		return err
 	}
@@ -971,22 +1009,11 @@ func (f *FS) WriteFile(p string, data []byte) error {
 // mutations, so the flip leaves every memoized digest stale and only a
 // fresh re-hash of the bytes (the anti-entropy scrub) can detect it.
 func (f *FS) CorruptFile(p string, off int64) error {
-	parts, err := splitPath(p)
-	if err != nil {
-		return err
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cur := f.root
-	for _, part := range parts {
-		if cur.typ != TypeDir {
-			return ErrNotDir
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoEnt, p)
-		}
-		cur = next
+	cur, _, err := f.resolve(p)
+	if err != nil {
+		return err
 	}
 	if cur.typ != TypeRegular {
 		return fmt.Errorf("%w: corrupt %q: not a regular file", ErrInval, p)

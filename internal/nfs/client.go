@@ -154,7 +154,7 @@ func (c Client) ResetStats() {
 // The request is encoded into a pooled encoder that is lent to the
 // transport and recycled as soon as the call returns; the reply is given to
 // the caller, so decoders over it may hand out views (Read, ReadStream).
-func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wire.Decoder, simnet.Cost, error) {
+func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (wire.Decoder, simnet.Cost, error) {
 	e := wire.GetEncoder(256)
 	e.PutUint32(uint32(proc))
 	e.PutUint64(c.s.xid.Add(1))
@@ -176,15 +176,16 @@ func (c Client) call(to simnet.Addr, proc Proc, build func(*wire.Encoder)) (*wir
 	lat.Observe(time.Duration(cost))
 	c.s.bytes.Add(uint64(len(resp)))
 	if err != nil {
-		return nil, cost, fmt.Errorf("nfs %s to %s: %w", proc, to, err)
+		return wire.Decoder{}, cost, fmt.Errorf("nfs %s to %s: %w", proc, to, err)
 	}
-	d := wire.NewDecoder(resp)
+	var d wire.Decoder
+	d.Reset(resp)
 	st := Status(d.Uint32())
 	if d.Err() != nil {
-		return nil, cost, fmt.Errorf("nfs %s to %s: bad reply: %w", proc, to, d.Err())
+		return wire.Decoder{}, cost, fmt.Errorf("nfs %s to %s: bad reply: %w", proc, to, d.Err())
 	}
 	if st != OK {
-		return nil, cost, &Error{Proc: proc, Status: st}
+		return wire.Decoder{}, cost, &Error{Proc: proc, Status: st}
 	}
 	return d, cost, nil
 }
@@ -201,7 +202,7 @@ func (c Client) MountRoot(to simnet.Addr) (Handle, simnet.Cost, error) {
 	if err != nil {
 		return Handle{}, cost, err
 	}
-	return getHandle(d), cost, nil
+	return getHandle(&d), cost, nil
 }
 
 // Getattr fetches attributes for h.
@@ -210,7 +211,7 @@ func (c Client) Getattr(to simnet.Addr, h Handle) (localfs.Attr, simnet.Cost, er
 	if err != nil {
 		return localfs.Attr{}, cost, err
 	}
-	return getAttr(d), cost, nil
+	return getAttr(&d), cost, nil
 }
 
 // Setattr updates attributes on h.
@@ -222,7 +223,7 @@ func (c Client) Setattr(to simnet.Addr, h Handle, sa localfs.SetAttr) (localfs.A
 	if err != nil {
 		return localfs.Attr{}, cost, err
 	}
-	return getAttr(d), cost, nil
+	return getAttr(&d), cost, nil
 }
 
 // Lookup resolves name within directory dir.
@@ -234,8 +235,8 @@ func (c Client) Lookup(to simnet.Addr, dir Handle, name string) (Handle, localfs
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
-	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	h := getHandle(&d)
+	return h, getAttr(&d), cost, nil
 }
 
 // LookupPath resolves a slash-separated path relative to root with one
@@ -260,7 +261,12 @@ func (c Client) LookupPathIdx(to simnet.Addr, root Handle, p string) (Handle, lo
 		return Handle{}, localfs.Attr{}, 0, total, err
 	}
 	resolved := 0
-	for _, part := range splitPath(p) {
+	for rest := p; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
+		if part == "" || part == "." {
+			continue
+		}
 		var h Handle
 		h, attr, cost, err = c.Lookup(to, cur, part)
 		total = simnet.Seq(total, cost)
@@ -273,16 +279,6 @@ func (c Client) LookupPathIdx(to simnet.Addr, root Handle, p string) (Handle, lo
 	return cur, attr, resolved, total, nil
 }
 
-func splitPath(p string) []string {
-	var out []string
-	for _, part := range strings.Split(p, "/") {
-		if part != "" && part != "." {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
 // Access checks the caller's permissions on h, returning the granted
 // subset of the requested mask.
 func (c Client) Access(to simnet.Addr, h Handle, want uint32) (uint32, localfs.Attr, simnet.Cost, error) {
@@ -293,7 +289,7 @@ func (c Client) Access(to simnet.Addr, h Handle, want uint32) (uint32, localfs.A
 	if err != nil {
 		return 0, localfs.Attr{}, cost, err
 	}
-	attr := getAttr(d)
+	attr := getAttr(&d)
 	return d.Uint32(), attr, cost, nil
 }
 
@@ -393,8 +389,8 @@ func (c Client) Create(to simnet.Addr, dir Handle, name string, mode uint32, exc
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
-	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	h := getHandle(&d)
+	return h, getAttr(&d), cost, nil
 }
 
 // Mkdir makes a directory in dir.
@@ -407,8 +403,8 @@ func (c Client) Mkdir(to simnet.Addr, dir Handle, name string, mode uint32) (Han
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
-	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	h := getHandle(&d)
+	return h, getAttr(&d), cost, nil
 }
 
 // Symlink makes a symbolic link in dir.
@@ -421,8 +417,8 @@ func (c Client) Symlink(to simnet.Addr, dir Handle, name, target string) (Handle
 	if err != nil {
 		return Handle{}, localfs.Attr{}, cost, err
 	}
-	h := getHandle(d)
-	return h, getAttr(d), cost, nil
+	h := getHandle(&d)
+	return h, getAttr(&d), cost, nil
 }
 
 // Remove unlinks a file or symlink.
@@ -467,19 +463,54 @@ func (c Client) Readdir(to simnet.Addr, dir Handle, cookie uint64, count int) ([
 	}
 	eof := d.Bool()
 	next := d.Uint64()
-	n := d.ArrayLen()
-	ents := make([]DirEntry, 0, n)
-	for i := 0; i < n; i++ {
-		ents = append(ents, DirEntry{
-			Name: d.String(),
-			Ino:  d.Uint64(),
-			Type: localfs.FileType(d.Uint32()),
-		})
-	}
+	ents := getDirEntries(&d)
 	if d.Err() != nil {
 		return nil, false, 0, cost, fmt.Errorf("nfs READDIR: bad reply: %w", d.Err())
 	}
 	return ents, eof, next, cost, nil
+}
+
+// getDirEntries decodes a READDIR reply's counted entry vector. The count
+// comes off the wire, so it only bounds the loop: the pre-allocation is
+// capped by the bytes left (an entry is at least a 4-byte name length, an
+// 8-byte ino and a 4-byte type) and decoding stops at the first error.
+func getDirEntries(d *wire.Decoder) []DirEntry {
+	n := d.ArrayLen()
+	ents := make([]DirEntry, 0, d.PreallocCap(n, 16))
+	for i := 0; i < n; i++ {
+		ent := DirEntry{
+			Name: d.String(),
+			Ino:  d.Uint64(),
+			Type: localfs.FileType(d.Uint32()),
+		}
+		if d.Err() != nil {
+			break
+		}
+		ents = append(ents, ent)
+	}
+	return ents
+}
+
+// getDirEntriesPlus is getDirEntries for READDIRPLUS. An entry is at least
+// a name length, ino, type, 16-byte handle, 60 bytes of attributes and a
+// symlink-target length: 96 bytes.
+func getDirEntriesPlus(d *wire.Decoder) []DirEntryPlus {
+	n := d.ArrayLen()
+	ents := make([]DirEntryPlus, 0, d.PreallocCap(n, 96))
+	for i := 0; i < n; i++ {
+		var ent DirEntryPlus
+		ent.Name = d.String()
+		ent.Ino = d.Uint64()
+		ent.Type = localfs.FileType(d.Uint32())
+		ent.FH = getHandle(d)
+		ent.Attr = getAttr(d)
+		ent.SymTarget = d.String()
+		if d.Err() != nil {
+			break
+		}
+		ents = append(ents, ent)
+	}
+	return ents
 }
 
 // ReaddirAll drains a directory, issuing pages of pageSize entries.
@@ -514,18 +545,7 @@ func (c Client) ReaddirPlus(to simnet.Addr, dir Handle, cookie uint64, count int
 	}
 	eof := d.Bool()
 	next := d.Uint64()
-	n := d.ArrayLen()
-	ents := make([]DirEntryPlus, 0, n)
-	for i := 0; i < n; i++ {
-		var ent DirEntryPlus
-		ent.Name = d.String()
-		ent.Ino = d.Uint64()
-		ent.Type = localfs.FileType(d.Uint32())
-		ent.FH = getHandle(d)
-		ent.Attr = getAttr(d)
-		ent.SymTarget = d.String()
-		ents = append(ents, ent)
-	}
+	ents := getDirEntriesPlus(&d)
 	if d.Err() != nil {
 		return nil, false, 0, cost, fmt.Errorf("nfs READDIRPLUS: bad reply: %w", d.Err())
 	}

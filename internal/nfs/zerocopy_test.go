@@ -120,6 +120,29 @@ func TestWriteSpansHostileCount(t *testing.T) {
 	}
 }
 
+// TestReaddirHostileCounts feeds the READDIR and READDIRPLUS reply decoders
+// a frame that claims wire.MaxItems entries and then ends: each must fail
+// without pre-allocating for the claimed count or looping through it.
+func TestReaddirHostileCounts(t *testing.T) {
+	frame := []byte{0, 0x10, 0, 0} // count = wire.MaxItems, then nothing
+	decoders := map[string]func() (int, error){
+		"readdir":     func() (int, error) { d := wire.NewDecoder(frame); return len(getDirEntries(d)), d.Err() },
+		"readdirplus": func() (int, error) { d := wire.NewDecoder(frame); return len(getDirEntriesPlus(d)), d.Err() },
+	}
+	for name, decode := range decoders {
+		t.Run(name, func(t *testing.T) {
+			perDecode := allocBytesPerRun(200, func() {
+				if n, err := decode(); n != 0 || err == nil {
+					t.Fatalf("hostile count decoded %d entries, err %v", n, err)
+				}
+			})
+			if limit := 16 * len(frame); perDecode > float64(limit) {
+				t.Fatalf("decoding a %d-byte hostile frame allocates %.0f bytes, want <= %d", len(frame), perDecode, limit)
+			}
+		})
+	}
+}
+
 // allocBytesPerRun reports the average heap bytes one call of f allocates.
 func allocBytesPerRun(runs int, f func()) float64 {
 	f()

@@ -166,19 +166,27 @@ func (s *state) allKnown() []NodeInfo {
 }
 
 // leafCovers reports whether the leaf-set arc contains key, meaning the
-// root can be decided among leaf members. When a half is not full the node
-// knows so few peers that the leaf set wraps the whole ring.
+// root can be decided among leaf members. When a half is not full, or the
+// two halves reach past each other, the node knows so few peers that the
+// leaf set wraps the whole ring. Missing the second case made a node that
+// knows only l/2..l peers treat the far side of its ring as outside its
+// leaf set and prefix-route to a member that routed straight back.
 func (s *state) leafCovers(key id.ID) bool {
 	if len(s.succs) < s.leafSize/2 || len(s.preds) < s.leafSize/2 {
 		return true
 	}
 	lo := s.preds[len(s.preds)-1].ID // farthest counter-clockwise
 	hi := s.succs[len(s.succs)-1].ID // farthest clockwise
+	if !s.self.ID.CWDist(hi).Less(s.self.ID.CWDist(lo)) {
+		return true
+	}
 	return id.Between(key, lo, hi) || key == lo
 }
 
 // closestLeaf returns the member of leafset∪self numerically closest to
-// key, excluding ids in excl.
+// key, excluding ids in excl. It scans both leaf halves in place: a node
+// present in both is simply considered twice, which cannot change the
+// minimum, so no deduplicated copy of the leaf set is built per decision.
 func (s *state) closestLeaf(key id.ID, excl map[id.ID]bool) NodeInfo {
 	best := s.self
 	if excl[s.self.ID] {
@@ -197,8 +205,10 @@ func (s *state) closestLeaf(key id.ID, excl map[id.ID]bool) NodeInfo {
 			best = n
 		}
 	}
-	for _, n := range s.leafMembers() {
-		consider(n)
+	for _, half := range [2][]NodeInfo{s.succs, s.preds} {
+		for _, n := range half {
+			consider(n)
+		}
 	}
 	return best
 }

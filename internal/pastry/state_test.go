@@ -100,6 +100,23 @@ func TestLeafCoversSmallOverlay(t *testing.T) {
 	}
 }
 
+func TestLeafCoversOverlappingHalves(t *testing.T) {
+	s := newTestState(100, 8)
+	for _, v := range []uint64{200, 300, 400, 500, 600} {
+		s.add(info(v))
+	}
+	// Both halves are full, but five peers fill both, so they overlap and
+	// the leaf set is the whole known ring: every key is decided there.
+	for _, k := range []uint64{50, 150, 180, 350, 550, 999999} {
+		if !s.leafCovers(id.FromUint64(k)) {
+			t.Fatalf("overlapping halves do not cover key %d", k)
+		}
+	}
+	if next, isRoot := s.nextHop(id.FromUint64(180), nil); isRoot || next.ID != id.FromUint64(200) {
+		t.Fatalf("key 180 routed to %v isRoot=%v, want 200", next, isRoot)
+	}
+}
+
 func TestNextHopSelfWhenAlone(t *testing.T) {
 	s := newTestState(42, 8)
 	next, isRoot := s.nextHop(id.HashKey("k"), nil)

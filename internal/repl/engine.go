@@ -228,34 +228,38 @@ func (e *Engine) Untrack(root string) {
 }
 
 // Stamp assigns the next mutation counter value for the op being applied at
-// the primary; Track records it afterwards together with the op's liveness.
-// A storage-root rename continues the old root's version chain.
+// the primary and records it, with the op's liveness, in the same critical
+// section: concurrent applies get distinct versions, the record never moves
+// backwards, and it holds every version before any replica can. A
+// storage-root rename continues the old root's version chain.
 func (e *Engine) Stamp(t Track, op FSOp) Track {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if op.Kind == FSRename && op.Path2 == t.Root {
+	switch {
+	case op.Kind == FSRename && op.Path2 == t.Root:
 		t.Ver = e.tracked[op.Path].Ver + 1
-		return t
-	}
-	if t.Link != "" {
+	case t.Link != "":
 		t.Ver = e.trackedLinks[t.Link].Ver + 1
-		return t
-	}
-	if t.Root == "" {
+	case t.Root == "":
 		t.Ver = 0
-		return t
+	default:
+		t.Ver = e.tracked[t.Root].Ver + 1
 	}
-	t.Ver = e.tracked[t.Root].Ver + 1
+	e.trackLocked(t, op)
 	return t
 }
 
 // Track records subtree/link ownership metadata shipped with a mutation.
 func (e *Engine) Track(t Track, op FSOp) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.trackLocked(t, op)
+}
+
+func (e *Engine) trackLocked(t Track, op FSOp) {
 	if t.PN == "" {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if t.Link != "" {
 		t.Dead = op.Kind == FSRemove
 		e.trackedLinks[t.Link] = t
@@ -1542,7 +1546,6 @@ func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
 		return 0, changed
 	}
 	var total simnet.Cost
-	myVer := e.VerOf(t.Root)
 	cands := e.ov.ReplicaCandidates(e.replicas)
 	stats := make([]TreeStat, len(cands))
 	alive := make([]bool, len(cands))
@@ -1555,6 +1558,12 @@ func (e *Engine) AdoptRoot(tc obs.TraceContext, t Track) (simnet.Cost, bool) {
 		stats[i] = st
 		alive[i] = true
 	}
+	// Read the local version only once every replica has answered. A
+	// replica holds no version this node stamped before recording it, so a
+	// mutation applied here while the stats were in flight cannot make its
+	// replica copy look newer than the local tree, and a concurrent writer
+	// never has its entries rolled back by a pull.
+	myVer := e.VerOf(t.Root)
 	for i, rep := range cands {
 		if !alive[i] {
 			continue

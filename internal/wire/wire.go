@@ -94,6 +94,21 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset clears the encoder for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Grow makes room for at least n more bytes without another allocation.
+func (e *Encoder) Grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.buf = append(make([]byte, 0, len(e.buf)+n), e.buf...)
+	}
+}
+
+// Detach returns the encoded bytes and leaves e empty with no buffer, so
+// the bytes can be given away while the Encoder value itself is reused.
+func (e *Encoder) Detach() []byte {
+	b := e.buf
+	e.buf = nil
+	return b
+}
+
 // PutUint32 appends a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
@@ -197,6 +212,10 @@ type Decoder struct {
 
 // NewDecoder wraps buf for decoding. The decoder does not copy buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Reset points d at the start of buf and clears any error, so one Decoder
+// value can serve many messages.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
 
 // Err returns the first error encountered, if any. Once an error occurs all
 // further reads return zero values, so call sites may decode a full struct

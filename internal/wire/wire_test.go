@@ -337,3 +337,43 @@ func BenchmarkDecodeMixed(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestDecoderResetEncoderDetach checks the reuse primitives a pooled
+// codec pair relies on: Reset re-points a decoder and clears its error,
+// Detach gives the encoded bytes away and leaves the encoder bufferless,
+// and Grow makes room without disturbing what is already encoded.
+func TestDecoderResetEncoderDetach(t *testing.T) {
+	var d Decoder
+	d.Reset([]byte{0, 0, 0, 7})
+	if v := d.Uint32(); v != 7 || d.Err() != nil {
+		t.Fatalf("decoded %d err %v", v, d.Err())
+	}
+	d.Uint32()
+	if d.Err() == nil {
+		t.Fatal("read past the end without an error")
+	}
+	d.Reset([]byte{0, 0, 0, 9})
+	if v := d.Uint32(); v != 9 || d.Err() != nil {
+		t.Fatalf("after Reset decoded %d err %v", v, d.Err())
+	}
+
+	var e Encoder
+	e.Grow(16)
+	if cap(e.Bytes()) < 16 {
+		t.Fatalf("Grow(16) left cap %d", cap(e.Bytes()))
+	}
+	e.PutUint32(1)
+	e.Grow(64)
+	if cap(e.Bytes())-e.Len() < 64 || !bytes.Equal(e.Bytes(), []byte{0, 0, 0, 1}) {
+		t.Fatalf("Grow(64) gave len %d cap %d bytes %v", e.Len(), cap(e.Bytes()), e.Bytes())
+	}
+	given := e.Detach()
+	if !bytes.Equal(given, []byte{0, 0, 0, 1}) || e.Bytes() != nil {
+		t.Fatalf("Detach gave %v and kept %v", given, e.Bytes())
+	}
+	e.Grow(8)
+	e.PutUint32(2)
+	if !bytes.Equal(given, []byte{0, 0, 0, 1}) {
+		t.Fatalf("encoding after Detach changed the given bytes to %v", given)
+	}
+}
