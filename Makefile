@@ -69,7 +69,7 @@ smoke:
 	done; \
 	echo "smoke: koshabench sync JSON ok"
 	@out=$$($(GO) run ./cmd/koshabench -exp dedup -quick -format json); \
-	for f in dedup_ratio stored_bytes edit_delta_bytes promote_delta_bytes; do \
+	for f in dedup_ratio stored_bytes edit_delta_bytes promote_delta_bytes edit_full_bytes promote_full_bytes; do \
 		echo "$$out" | grep -q "\"$$f\"" || { echo "smoke: missing $$f in koshabench JSON" >&2; exit 1; }; \
 	done; \
 	echo "smoke: koshabench dedup JSON ok"

@@ -254,10 +254,10 @@ func TestFailoverDropsCacheEntries(t *testing.T) {
 	_ = net
 }
 
-// TestMetadataCacheDisabled: NoMetadataCache must force every Getattr and
-// Lookup back onto the network.
+// TestMetadataCacheDisabled: negative attribute and name-cache TTLs must
+// force every Getattr and Lookup back onto the network.
 func TestMetadataCacheDisabled(t *testing.T) {
-	_, nodes := testCluster(t, 4, 9007, Config{NoMetadataCache: true})
+	_, nodes := testCluster(t, 4, 9007, Config{AttrCacheTTL: -1, NameCacheTTL: -1})
 	n := nodes[0]
 	m := n.NewMount()
 	if _, err := m.WriteFile("/home/f", []byte("x")); err != nil {

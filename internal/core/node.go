@@ -56,10 +56,10 @@ type Config struct {
 	// read operations to be served from any one of the K replicas").
 	// Writes still serialize through the primary.
 	ReadFromReplicas bool
-	// StreamChunk is the chunk size of the streaming data path: readahead
-	// windows and pull-repair tree fetches move multiples of it per round
-	// trip. Default repl.PushChunk (1 MiB), keeping the client path and the
-	// replication engine on one tunable.
+	// StreamChunk is the chunk size of the client streaming data path:
+	// readahead windows move multiples of it per round trip. Default
+	// repl.PushChunk (1 MiB), the fixed piece size the replication engine
+	// pushes and pulls in; changing it does not affect the engine.
 	StreamChunk int
 	// ReadaheadChunks is N, the readahead window in StreamChunk-sized
 	// pieces a mount keeps in flight ahead of a sequential reader (one
@@ -80,21 +80,10 @@ type Config struct {
 	SyncReplication bool
 	// Disk is the cost model for the contributed partition.
 	Disk simnet.DiskModel
-	// AutoSync runs replica maintenance from overlay membership callbacks.
-	// Default on; the cluster harness may disable it and drive SyncReplicas
-	// explicitly for deterministic scheduling.
-	AutoSync bool
-	// noAutoSyncSet distinguishes "zero value = default on" from off.
+	// NoAutoSync stops replica maintenance from running off overlay
+	// membership callbacks (it runs by default); the cluster harness sets it
+	// and drives SyncReplicas explicitly for deterministic scheduling.
 	NoAutoSync bool
-	// FullTreePush restores the legacy remove-and-recopy replica push in
-	// place of the Merkle delta protocol. Kept as the baseline arm of the
-	// sync experiment (koshabench -exp sync).
-	FullTreePush bool
-	// WholeFileSync disables block-level manifest negotiation in the
-	// replication engine: changed files ship and fetch whole (the
-	// pre-chunk-store behavior). Kept as the baseline arm of the dedup
-	// experiment (koshabench -exp dedup); implied by FullTreePush.
-	WholeFileSync bool
 	// RingCacheTTL bounds how long a mount may serve a memoized ring walk
 	// (the EnumerateRing behind root READDIR) before re-walking. The cache
 	// is additionally invalidated by overlay-health events (joins,
@@ -108,9 +97,6 @@ type Config struct {
 	// NameCacheTTL bounds per-directory name-cache (dnlc) entries the same
 	// way. Default 3s; negative disables the name cache.
 	NameCacheTTL time.Duration
-	// NoMetadataCache turns off both client-side metadata caches,
-	// regardless of the TTL fields. Used by ablation benches.
-	NoMetadataCache bool
 	// WallClockStats records per-op latency histograms in wall time rather
 	// than simulated cost. koshad sets it when running over tcpnet, where
 	// real elapsed time is the number of interest; simulated runs leave it
@@ -203,16 +189,11 @@ func (c Config) withDefaults() Config {
 	if c.WriteBackBytes < 0 {
 		c.WriteBackBytes = 0
 	}
-	c.AutoSync = !c.NoAutoSync
 	if c.AttrCacheTTL == 0 {
 		c.AttrCacheTTL = 3 * time.Second
 	}
 	if c.NameCacheTTL == 0 {
 		c.NameCacheTTL = 3 * time.Second
-	}
-	if c.NoMetadataCache {
-		c.AttrCacheTTL = -1
-		c.NameCacheTTL = -1
 	}
 	if c.TraceBufSize == 0 {
 		c.TraceBufSize = obs.DefaultTraceBuf
@@ -425,17 +406,15 @@ func NewNodeWithStore(addr simnet.Addr, nodeID id.ID, net simnet.Transport, cfg 
 	n.rpc = newRetrier(net, cfg, n.reg)
 	n.nfsc = nfs.NewClientWithRegistry(n.rpc, addr, n.reg)
 	n.rep = repl.New(repl.Options{
-		Self:      addr,
-		Store:     store,
-		Overlay:   engineOverlay{n},
-		Peer:      enginePeer{n},
-		Replicas:  cfg.Replicas,
-		Key:       Key,
-		Events:    n.events,
-		Registry:  n.reg,
-		Tracer:    n.tracer,
-		FullPush:  cfg.FullTreePush,
-		WholeFile: cfg.WholeFileSync,
+		Self:     addr,
+		Store:    store,
+		Overlay:  engineOverlay{n},
+		Peer:     enginePeer{n},
+		Replicas: cfg.Replicas,
+		Key:      Key,
+		Events:   n.events,
+		Registry: n.reg,
+		Tracer:   n.tracer,
 	})
 	n.overlay = pastry.NewNode(nodeID, addr, net, cfg.LeafSize)
 	n.overlay.OnLeafSetChange(n.onLeafChange)
@@ -547,7 +526,7 @@ func (n *Node) onLeafChange(c pastry.LeafSetChange) {
 	n.mu.Lock()
 	n.replicaCache = make(map[string][]simnet.Addr)
 	n.mu.Unlock()
-	if n.cfg.AutoSync {
+	if !n.cfg.NoAutoSync {
 		n.SyncReplicas()
 	}
 }

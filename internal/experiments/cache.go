@@ -56,7 +56,9 @@ type CacheAblationResult struct {
 func RunCacheAblation(opts CacheAblationOptions) (*CacheAblationResult, error) {
 	run := func(noCache bool) (CacheArm, error) {
 		cfg := koshaCfg()
-		cfg.NoMetadataCache = noCache
+		if noCache {
+			cfg.AttrCacheTTL, cfg.NameCacheTTL = -1, -1
+		}
 		c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: cfg})
 		if err != nil {
 			return CacheArm{}, err

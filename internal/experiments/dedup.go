@@ -16,6 +16,8 @@ import (
 // payload pool), one big file takes a one-chunk edit, and a primary crash
 // forces a promote repair. The three arms measure what the chunk store buys
 // in each case: index dedup, sync bytes, and promote-repair fetch bytes.
+// The whole-file baselines of the edit and promote arms are not run: a
+// whole-file refresh or fetch moves at least the file, EditFileSize bytes.
 type DedupOptions struct {
 	Nodes            int
 	Users            int // duplicate-heavy trees, one per user
@@ -53,11 +55,11 @@ type DedupResult struct {
 	DedupRatio float64 `json:"dedup_ratio"`
 
 	EditFileSize   int     `json:"edit_file_size"`
-	EditFullBytes  uint64  `json:"edit_full_bytes"`  // whole-file refresh after a 16-byte edit
+	EditFullBytes  uint64  `json:"edit_full_bytes"`  // whole-file refresh payload: EditFileSize
 	EditDeltaBytes uint64  `json:"edit_delta_bytes"` // chunk-negotiated refresh of the same edit
 	EditDeltaPct   float64 `json:"edit_delta_pct"`   // delta as % of whole-file
 
-	PromoteFullBytes  uint64  `json:"promote_full_bytes"`  // fetch bytes of a whole-file promote repair
+	PromoteFullBytes  uint64  `json:"promote_full_bytes"`  // whole-file promote fetch payload: EditFileSize
 	PromoteDeltaBytes uint64  `json:"promote_delta_bytes"` // fetch bytes of the block-level repair
 	PromoteDeltaPct   float64 `json:"promote_delta_pct"`
 }
@@ -157,10 +159,9 @@ func runDedupRatioArm(opts DedupOptions) (logical, stored int64, err error) {
 // runDedupEditArm replicates one big file, makes the replica stale by a
 // 16-byte edit applied behind a partition, and returns the kosha-service
 // bytes the primary's next SyncReplicas moves to reconverge.
-func runDedupEditArm(opts DedupOptions, wholeFile bool) (uint64, error) {
+func runDedupEditArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
 	cfg.NoAutoSync = true
-	cfg.WholeFileSync = wholeFile
 	c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: cfg})
 	if err != nil {
 		return 0, err
@@ -208,10 +209,9 @@ func runDedupEditArm(opts DedupOptions, wholeFile bool) (uint64, error) {
 // returns how many bytes the successor's pull repair fetches while
 // promoting (the repl.fetch.bytes counter, which charges only the pull
 // path — block fetches, ranged reads, and whole-file streams).
-func runDedupPromoteArm(opts DedupOptions, wholeFile bool) (uint64, error) {
+func runDedupPromoteArm(opts DedupOptions) (uint64, error) {
 	cfg := koshaCfg()
 	cfg.NoAutoSync = true
-	cfg.WholeFileSync = wholeFile
 	cfg.Replicas = 2
 	nodes := opts.Nodes
 	if nodes < 5 {
@@ -283,23 +283,16 @@ func RunDedup(opts DedupOptions) (*DedupResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dedup ratio arm: %w", err)
 	}
-	editFull, err := runDedupEditArm(opts, true)
-	if err != nil {
-		return nil, fmt.Errorf("edit whole-file arm: %w", err)
-	}
-	editDelta, err := runDedupEditArm(opts, false)
+	editDelta, err := runDedupEditArm(opts)
 	if err != nil {
 		return nil, fmt.Errorf("edit delta arm: %w", err)
 	}
-	promFull, err := runDedupPromoteArm(opts, true)
-	if err != nil {
-		return nil, fmt.Errorf("promote whole-file arm: %w", err)
-	}
-	promDelta, err := runDedupPromoteArm(opts, false)
+	promDelta, err := runDedupPromoteArm(opts)
 	if err != nil {
 		return nil, fmt.Errorf("promote delta arm: %w", err)
 	}
 
+	full := uint64(opts.EditFileSize)
 	res := &DedupResult{
 		Nodes:             opts.Nodes,
 		Users:             opts.Users,
@@ -309,19 +302,17 @@ func RunDedup(opts DedupOptions) (*DedupResult, error) {
 		LogicalBytes:      logical,
 		StoredBytes:       stored,
 		EditFileSize:      opts.EditFileSize,
-		EditFullBytes:     editFull,
+		EditFullBytes:     full,
 		EditDeltaBytes:    editDelta,
-		PromoteFullBytes:  promFull,
+		PromoteFullBytes:  full,
 		PromoteDeltaBytes: promDelta,
 	}
 	if stored > 0 {
 		res.DedupRatio = float64(logical) / float64(stored)
 	}
-	if editFull > 0 {
-		res.EditDeltaPct = float64(editDelta) / float64(editFull) * 100
-	}
-	if promFull > 0 {
-		res.PromoteDeltaPct = float64(promDelta) / float64(promFull) * 100
+	if full > 0 {
+		res.EditDeltaPct = float64(editDelta) / float64(full) * 100
+		res.PromoteDeltaPct = float64(promDelta) / float64(full) * 100
 	}
 	return res, nil
 }

@@ -36,6 +36,16 @@ func TestDedupAcceptance(t *testing.T) {
 		t.Fatalf("block-level promote repair fetched %d bytes, >= 10%% of the %d-byte whole-file fetch (%.1f%%)",
 			res.PromoteDeltaBytes, res.PromoteFullBytes, res.PromoteDeltaPct)
 	}
+	// The simulated byte counts are deterministic: pin the live protocol's
+	// traffic exactly, and both whole-file baselines at the file's payload.
+	if res.EditDeltaBytes != 51864 || res.PromoteDeltaBytes != 71372 || res.DedupRatio != 6 {
+		t.Fatalf("edit delta %d, promote delta %d, dedup ratio %v; want exactly 51864, 71372, 6",
+			res.EditDeltaBytes, res.PromoteDeltaBytes, res.DedupRatio)
+	}
+	if want := uint64(opts.EditFileSize); res.EditFullBytes != want || res.PromoteFullBytes != want {
+		t.Fatalf("whole-file baselines edit %d, promote %d; want the file's payload %d",
+			res.EditFullBytes, res.PromoteFullBytes, want)
+	}
 	var sb strings.Builder
 	res.Fprint(&sb, opts)
 	for _, row := range []string{"dedup ratio", "chunk delta", "block-level repair"} {

@@ -12,8 +12,8 @@ import (
 
 // SyncOptions parameterizes the anti-entropy experiment: a replicated
 // N-file subtree goes one file stale on its replica (the mirror is lost to
-// a partition), and the two replica-refresh strategies are charged for the
-// bytes they move to converge again.
+// a partition), and the Merkle delta sync is charged for the bytes it moves
+// to converge again.
 type SyncOptions struct {
 	Nodes    int
 	Files    int // files in the replicated subtree
@@ -32,8 +32,9 @@ func DefaultSyncOptions() SyncOptions {
 	}
 }
 
-// SyncResult compares the legacy full-tree re-push against the Merkle
-// delta sync for the same one-file staleness.
+// SyncResult compares the Merkle delta sync for a one-file staleness
+// against a full-tree re-push. The full re-push is not run: FullBytes is
+// the tree's payload (Files x FileSize), the least such a push must ship.
 type SyncResult struct {
 	Nodes        int     `json:"nodes"`
 	Files        int     `json:"files"`
@@ -49,12 +50,11 @@ type SyncResult struct {
 // replica exactly one file stale by partitioning the primary from it during
 // a touch, heals the network, and returns the kosha-service bytes the
 // primary's next SyncReplicas moves.
-func runSyncArm(opts SyncOptions, fullPush bool) (uint64, uint64, uint64, error) {
+func runSyncArm(opts SyncOptions) (uint64, uint64, uint64, error) {
 	cfg := koshaCfg()
 	// Membership-driven resync would heal the staleness behind the
 	// experiment's back; every sync here is driven explicitly.
 	cfg.NoAutoSync = true
-	cfg.FullTreePush = fullPush
 	c, err := cluster.New(cluster.Options{Nodes: opts.Nodes, Seed: opts.Seed, Config: cfg})
 	if err != nil {
 		return 0, 0, 0, err
@@ -123,13 +123,11 @@ func runSyncArm(opts SyncOptions, fullPush bool) (uint64, uint64, uint64, error)
 	return bytes, sent, skipped, nil
 }
 
-// RunSync measures both refresh strategies against the same staleness.
+// RunSync measures the delta sync and sets it against the full re-push's
+// payload.
 func RunSync(opts SyncOptions) (*SyncResult, error) {
-	full, _, _, err := runSyncArm(opts, true)
-	if err != nil {
-		return nil, fmt.Errorf("full-push arm: %w", err)
-	}
-	delta, sent, skipped, err := runSyncArm(opts, false)
+	full := uint64(opts.Files) * uint64(opts.FileSize)
+	delta, sent, skipped, err := runSyncArm(opts)
 	if err != nil {
 		return nil, fmt.Errorf("delta arm: %w", err)
 	}

@@ -27,6 +27,14 @@ func TestSyncDeltaUnderTenPercent(t *testing.T) {
 	if res.FilesSkipped < uint64(opts.Files-1) {
 		t.Fatalf("delta sync skipped %d files, want >= %d", res.FilesSkipped, opts.Files-1)
 	}
+	// The simulated byte counts are deterministic: pin the live protocol's
+	// traffic exactly, and the full re-push at the tree's payload.
+	if res.DeltaBytes != 4820 {
+		t.Fatalf("delta sync moved %d bytes, want exactly 4820", res.DeltaBytes)
+	}
+	if want := uint64(opts.Files * opts.FileSize); res.FullBytes != want {
+		t.Fatalf("full re-push bytes %d, want the tree's payload %d", res.FullBytes, want)
+	}
 	var sb strings.Builder
 	res.Fprint(&sb, opts)
 	if !strings.Contains(sb.String(), "merkle delta") {

@@ -56,8 +56,6 @@ type Peer interface {
 	DirDigests(tc obs.TraceContext, to simnet.Addr, dir string) ([]merkle.Entry, bool, simnet.Cost, error)
 	// LookupPath resolves a physical path on a remote store.
 	LookupPath(tc obs.TraceContext, to simnet.Addr, phys string) (nfs.Handle, localfs.Attr, simnet.Cost, error)
-	// ReadDir lists a remote directory.
-	ReadDir(tc obs.TraceContext, to simnet.Addr, fh nfs.Handle) ([]nfs.DirEntry, simnet.Cost, error)
 	// ReadStream reads up to chunks consecutive chunk-byte pieces of a
 	// remote file in one round trip, reporting EOF — the pipelined window
 	// transfer tree fetches are built from.
@@ -92,13 +90,6 @@ type Options struct {
 	// records server spans on the peers it touches. Nil disables (all engine
 	// RPCs then carry the zero context).
 	Tracer *obs.Tracer
-	// FullPush disables the Merkle delta protocol and restores the legacy
-	// remove-and-recopy push. Kept for the sync experiment's baseline arm.
-	FullPush bool
-	// WholeFile disables block-level manifest negotiation: changed files are
-	// shipped and fetched whole (the pre-chunk-store behavior). Kept for the
-	// dedup experiment's baseline arm; implied by FullPush.
-	WholeFile bool
 }
 
 // Engine tracks the replicated hierarchies this node holds and re-establishes
@@ -106,19 +97,17 @@ type Options struct {
 // methods are safe for concurrent use; Sync is additionally self-excluding
 // (overlapping calls collapse to one).
 type Engine struct {
-	self      simnet.Addr
-	store     localfs.FileSystem
-	ov        Overlay
-	peer      Peer
-	replicas  int
-	key       func(pn string) id.ID
-	events    *obs.EventLog
-	reg       *obs.Registry
-	tracer    *obs.Tracer
-	mk        *merkle.Cache // subtree digests over store, mutation-invalidated
-	cas       *cas.Store    // block index the merkle cache keeps in lockstep
-	fullPush  bool
-	wholeFile bool
+	self     simnet.Addr
+	store    localfs.FileSystem
+	ov       Overlay
+	peer     Peer
+	replicas int
+	key      func(pn string) id.ID
+	events   *obs.EventLog
+	reg      *obs.Registry
+	tracer   *obs.Tracer
+	mk       *merkle.Cache // subtree digests over store, mutation-invalidated
+	cas      *cas.Store    // block index the merkle cache keeps in lockstep
 
 	// Sync-traffic counters: payload bytes shipped, files sent vs skipped
 	// by digest match, and whole-tree digest exchanges that hit vs missed.
@@ -163,8 +152,6 @@ func New(o Options) *Engine {
 		tracer:        o.Tracer,
 		mk:            merkle.NewCacheWithStore(o.Store, blocks),
 		cas:           blocks,
-		fullPush:      o.FullPush,
-		wholeFile:     o.WholeFile || o.FullPush,
 		syncBytes:     o.Registry.Counter("repl.sync.bytes"),
 		syncSent:      o.Registry.Counter("repl.sync.files.sent"),
 		syncSkipped:   o.Registry.Counter("repl.sync.files.skipped"),
@@ -710,9 +697,6 @@ const FetchWindow = 4
 // is edited in place, never removed wholesale, so the remote copy stays
 // readable throughout.
 func (e *Engine) deltaPush(tc obs.TraceContext, target simnet.Addr, t Track, src string, primary bool, remote TreeDigest) (simnet.Cost, error) {
-	if e.fullPush {
-		return e.pushTree(tc, target, t, src, primary)
-	}
 	var total simnet.Cost
 	flag := path.Join(t.Root, MigrationFlag)
 
@@ -867,12 +851,8 @@ func (e *Engine) syncDir(tc obs.TraceContext, target simnet.Addr, t Track, local
 // offered as a WANT list, the receiver answers which blocks its
 // content-addressed index already holds (indexing its stale copy of this
 // very file in the process), and only the missing chunks travel inline —
-// a 1-changed-chunk file ships ~one chunk. Behind Options.WholeFile the
-// legacy whole-file streaming is used instead.
+// a 1-changed-chunk file ships ~one chunk.
 func (e *Engine) sendFile(tc obs.TraceContext, target simnet.Addr, lsrc, ldst string, primary bool, step func(FSOp) error, add func(simnet.Cost)) error {
-	if e.wholeFile {
-		return e.sendFileWhole(lsrc, ldst, step)
-	}
 	attr, err := e.store.LookupPath(lsrc)
 	if err != nil {
 		return err
@@ -990,8 +970,8 @@ func (e *Engine) readRange(ino uint64, off, n int64) ([]byte, error) {
 }
 
 // sendFileWhole ships one regular file verbatim in PushChunk-sized pieces:
-// a truncating create, then sequential writes. The WholeFile baseline and
-// the fallback when block negotiation fails.
+// a truncating create, then sequential writes. The fallback when block
+// negotiation fails.
 func (e *Engine) sendFileWhole(lsrc, ldst string, step func(FSOp) error) error {
 	attr, err := e.store.LookupPath(lsrc)
 	if err != nil {
@@ -1046,50 +1026,6 @@ func joinChild(dir, name string) string {
 	return dir + "/" + name
 }
 
-// pushTree copies the local subtree at src to target wholesale: remove,
-// recreate, re-ship every entry under the migration flag (Section 4.4).
-// This is the legacy full push, retained behind Options.FullPush as the
-// sync experiment's baseline; deltaPush replaces it on the normal path.
-func (e *Engine) pushTree(tc obs.TraceContext, target simnet.Addr, t Track, src string, primary bool) (simnet.Cost, error) {
-	var total simnet.Cost
-	flag := path.Join(t.Root, MigrationFlag)
-
-	step := func(op FSOp) error {
-		c, err := e.peer.Mirror(tc, target, t, op, primary)
-		total = simnet.Seq(total, c)
-		return err
-	}
-
-	if err := step(FSOp{Kind: FSRemoveAll, Path: t.Root}); err != nil {
-		return total, err
-	}
-	if err := step(FSOp{Kind: FSMkdirAll, Path: t.Root}); err != nil {
-		return total, err
-	}
-	if err := step(FSOp{Kind: FSWriteFile, Path: flag}); err != nil {
-		return total, err
-	}
-	werr := e.store.Walk(src, func(p string, a localfs.Attr, symTarget string) error {
-		dst := t.Root + p[len(src):] // translate source prefix to dest root
-		if dst == t.Root || dst == flag {
-			return nil
-		}
-		switch a.Type {
-		case localfs.TypeDir:
-			return step(FSOp{Kind: FSMkdirAll, Path: dst})
-		case localfs.TypeSymlink:
-			return step(FSOp{Kind: FSSymlink, Path: dst, Target: symTarget})
-		default:
-			return e.sendFileWhole(p, dst, step)
-		}
-	})
-	if werr != nil {
-		return total, werr
-	}
-	err := step(FSOp{Kind: FSRemove, Path: flag})
-	return total, err
-}
-
 // fetchTree pulls a remote replica-area copy of a subtree into this node's
 // primary namespace, adopting the remote's version. Used when a freshly
 // promoted primary discovers a replica holding a newer copy than the one it
@@ -1097,28 +1033,15 @@ func (e *Engine) pushTree(tc obs.TraceContext, target simnet.Addr, t Track, src 
 // (promoted, stale) copy is kept as a chunk source, directory digests skip
 // identical subtrees, and each mismatching file is rebuilt from its remote
 // manifest, fetching only the blocks no local file holds — in parallel from
-// every settled holder in holders plus from itself. Behind
-// Options.WholeFile the legacy remove-and-recopy walk runs instead.
+// every settled holder in holders plus from itself.
 func (e *Engine) fetchTree(tc obs.TraceContext, from simnet.Addr, holders []simnet.Addr, t Track, remoteVer uint64) (simnet.Cost, error) {
 	var total simnet.Cost
 	src := RepPath(t.Root)
-	if e.wholeFile {
-		if err := e.store.RemoveAll(t.Root); err != nil {
-			return total, err
-		}
-		if _, err := e.store.MkdirAll(t.Root); err != nil {
-			return total, err
-		}
-		if err := e.fetchTreeWhole(tc, from, src, t.Root, &total); err != nil {
-			return total, err
-		}
-	} else {
-		if _, err := e.store.MkdirAll(t.Root); err != nil {
-			return total, err
-		}
-		if err := e.pullDir(tc, from, holders, src, t.Root, src, &total); err != nil {
-			return total, err
-		}
+	if _, err := e.store.MkdirAll(t.Root); err != nil {
+		return total, err
+	}
+	if err := e.pullDir(tc, from, holders, src, t.Root, src, &total); err != nil {
+		return total, err
 	}
 	adopted := t
 	adopted.Ver = remoteVer
@@ -1300,8 +1223,7 @@ func (e *Engine) pullFile(tc obs.TraceContext, from simnet.Addr, holders []simne
 }
 
 // pullFileWhole streams one remote file verbatim — the fallback when the
-// remote cannot answer a manifest (and the building block of the WholeFile
-// baseline's tree walk).
+// remote cannot answer a manifest.
 func (e *Engine) pullFileWhole(tc obs.TraceContext, from simnet.Addr, rp, lp string, total *simnet.Cost) error {
 	fh, attr, c, err := e.peer.LookupPath(tc, from, rp)
 	*total = simnet.Seq(*total, c)
@@ -1474,63 +1396,6 @@ func (e *Engine) routedSource(pathHint string) (simnet.Addr, simnet.Cost, bool) 
 		return "", res.Cost, false
 	}
 	return res.Node.Addr, res.Cost, true
-}
-
-// fetchTreeWhole is the legacy full-copy walk over plain NFS reads: list,
-// recurse, stream every file. Retained behind Options.WholeFile as the
-// dedup experiment's promote-repair baseline.
-func (e *Engine) fetchTreeWhole(tc obs.TraceContext, from simnet.Addr, src, root string, total *simnet.Cost) error {
-	var walk func(remotePath, localPath string) error
-	walk = func(remotePath, localPath string) error {
-		fh, _, c, err := e.peer.LookupPath(tc, from, remotePath)
-		*total = simnet.Seq(*total, c)
-		if err != nil {
-			return err
-		}
-		ents, c, err := e.peer.ReadDir(tc, from, fh)
-		*total = simnet.Seq(*total, c)
-		if err != nil {
-			return err
-		}
-		for _, ent := range ents {
-			rp := remotePath + "/" + ent.Name
-			lp := localPath + "/" + ent.Name
-			switch ent.Type {
-			case localfs.TypeDir:
-				if _, err := e.store.MkdirAll(lp); err != nil {
-					return err
-				}
-				if err := walk(rp, lp); err != nil {
-					return err
-				}
-			case localfs.TypeSymlink:
-				target, c, err := e.peer.ReadLink(tc, from, rp)
-				*total = simnet.Seq(*total, c)
-				if err != nil {
-					return err
-				}
-				attr, err := e.store.LookupPath(path.Dir(lp))
-				if err != nil {
-					return err
-				}
-				if _, _, err := e.store.Symlink(attr.Ino, ent.Name, target); err != nil {
-					return err
-				}
-			default:
-				// Only the sentinel at the hierarchy root is protocol
-				// state; an identically-named user file deeper in the tree
-				// is ordinary data and must be fetched.
-				if ent.Name == MigrationFlag && remotePath == src {
-					continue
-				}
-				if err := e.pullFileWhole(tc, from, rp, lp, total); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return walk(src, root)
 }
 
 // AdoptRoot makes this node's primary-path copy of a subtree current after

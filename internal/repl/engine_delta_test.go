@@ -195,18 +195,6 @@ func (s *storePeer) LookupPath(_ obs.TraceContext, to simnet.Addr, phys string) 
 	return nfs.Handle{Ino: attr.Ino}, attr, 0, nil
 }
 
-func (s *storePeer) ReadDir(_ obs.TraceContext, to simnet.Addr, fh nfs.Handle) ([]nfs.DirEntry, simnet.Cost, error) {
-	ents, _, err := s.remote.Readdir(fh.Ino)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]nfs.DirEntry, 0, len(ents))
-	for _, ent := range ents {
-		out = append(out, nfs.DirEntry{Name: ent.Name, Ino: ent.Ino, Type: ent.Type})
-	}
-	return out, 0, nil
-}
-
 func (s *storePeer) ReadStream(_ obs.TraceContext, to simnet.Addr, fh nfs.Handle, off int64, chunk, chunks int) ([]byte, bool, simnet.Cost, error) {
 	var data []byte
 	for i := 0; i < chunks; i++ {
@@ -318,8 +306,8 @@ func TestFetchTreeKeepsNestedFlagNamedFile(t *testing.T) {
 }
 
 // Satellite fix: whole-file pushes ship file contents in bounded chunks
-// rather than one whole-file op. (sendFileWhole is the WholeFile baseline and
-// the fallback when block negotiation fails.)
+// rather than one whole-file op. (sendFileWhole is the fallback when block
+// negotiation fails.)
 func TestSendFileChunksLargePayload(t *testing.T) {
 	e, store, _ := deltaEngine(t, newStorePeer())
 	payload := bytes.Repeat([]byte("x"), PushChunk*2+PushChunk/2)
@@ -602,5 +590,108 @@ func TestEnsureTreeRestampsMatchingReplica(t *testing.T) {
 	}
 	if peer.vers["/w"] != 4 {
 		t.Fatalf("replica version %d after restamp, want 4", peer.vers["/w"])
+	}
+}
+
+// When the replica cannot answer CHUNK_MANIFEST, sendFile falls back to
+// shipping the changed file verbatim: a truncating create plus plain
+// writes, no chunk references, and the replica still converges.
+func TestSendFileFallsBackWhenManifestFails(t *testing.T) {
+	peer := newStorePeer()
+	e, store, _ := deltaEngine(t, peer)
+
+	content := patternBytes(PushChunk+PushChunk/2, 3)
+	if err := store.WriteFile("/proj/blob.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	// The replica's stale copy is longer than the new content, so only a
+	// truncating create leaves it byte-identical.
+	if err := peer.remote.WriteFile(RepPath("/proj")+"/blob.bin", patternBytes(2*PushChunk, 4)); err != nil {
+		t.Fatal(err)
+	}
+	peer.vers["/proj"] = 1
+	peer.down["r1"] = true
+
+	if _, err := e.ensureTree(obs.TraceContext{}, "r1", Track{PN: "proj", Root: "/proj", Ver: 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[FSOpKind]int{}
+	for _, m := range peer.mirrors {
+		if m.op.Path == "/proj/blob.bin" {
+			kinds[m.op.Kind]++
+		}
+	}
+	if kinds[FSCreate] != 1 || kinds[FSWrite] == 0 || kinds[FSChunkWrite] != 0 {
+		t.Fatalf("fallback ops on the file %v, want one FSCreate, FSWrites and no FSChunkWrite", kinds)
+	}
+	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/blob.bin"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("replica diverged after the verbatim fallback (err=%v, %d bytes)", err, len(got))
+	}
+}
+
+// When the receiver rejects an FSChunkWrite span (its copy mutated between
+// negotiation and apply), flush re-ships exactly that span as one verbatim
+// FSWrite, and the replica still converges.
+func TestSendFileReshipsRejectedChunkSpan(t *testing.T) {
+	peer := newStorePeer()
+	e, store, reg := deltaEngine(t, peer)
+
+	// Larger than one 4 MiB span, so a later span starts past offset 0.
+	const size = 6 << 20
+	content := patternBytes(size, 5)
+	if err := peer.remote.WriteFile(RepPath("/proj")+"/big.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	edited := append([]byte(nil), content...)
+	copy(edited[size/2:], []byte("EDITED-SIXTEEN-B"))
+	if err := store.WriteFile("/proj/big.bin", edited); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := Track{PN: "proj", Root: "/proj", Ver: 2}
+	var ops []FSOp
+	step := func(op FSOp) error {
+		ops = append(ops, op)
+		if op.Kind == FSChunkWrite {
+			return ErrMissingChunk
+		}
+		_, err := peer.Mirror(obs.TraceContext{}, "r1", tr, op, false)
+		return err
+	}
+	add := func(simnet.Cost) {}
+	if err := e.sendFile(obs.TraceContext{}, "r1", "/proj/big.bin", "/proj/big.bin", false, step, add); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := 0
+	for i, op := range ops {
+		if op.Kind != FSChunkWrite {
+			continue
+		}
+		spans++
+		var covered int
+		for _, ch := range op.Chunks {
+			covered += int(ch.Len)
+		}
+		if i+1 >= len(ops) {
+			t.Fatalf("rejected span at %d was never re-shipped", op.Offset)
+		}
+		next := ops[i+1]
+		if next.Kind != FSWrite || next.Offset != op.Offset || len(next.Data) != covered {
+			t.Fatalf("after rejected span [%d,+%d) got %v at %d with %d bytes, want one FSWrite of the span",
+				op.Offset, covered, next.Kind, next.Offset, len(next.Data))
+		}
+		if !bytes.Equal(next.Data, edited[op.Offset:op.Offset+int64(covered)]) {
+			t.Fatalf("re-shipped span at %d does not carry the local bytes", op.Offset)
+		}
+	}
+	if spans < 2 {
+		t.Fatalf("%d FSChunkWrite spans offered, want >= 2", spans)
+	}
+	if b := reg.Counter("repl.sync.bytes").Load(); b != size {
+		t.Fatalf("sync.bytes = %d, want %d (every span re-shipped verbatim)", b, size)
+	}
+	if got, err := peer.remote.ReadFile(RepPath("/proj") + "/big.bin"); err != nil || !bytes.Equal(got, edited) {
+		t.Fatalf("replica diverged after the re-shipped spans (err=%v, %d bytes)", err, len(got))
 	}
 }

@@ -70,10 +70,6 @@ func (f *fakePeer) LookupPath(obs.TraceContext, simnet.Addr, string) (nfs.Handle
 	return nfs.Handle{}, localfs.Attr{}, 0, fmt.Errorf("fakePeer: no remote store")
 }
 
-func (f *fakePeer) ReadDir(obs.TraceContext, simnet.Addr, nfs.Handle) ([]nfs.DirEntry, simnet.Cost, error) {
-	return nil, 0, fmt.Errorf("fakePeer: no remote store")
-}
-
 func (f *fakePeer) ReadStream(obs.TraceContext, simnet.Addr, nfs.Handle, int64, int, int) ([]byte, bool, simnet.Cost, error) {
 	return nil, false, 0, fmt.Errorf("fakePeer: no remote store")
 }
