@@ -13,7 +13,9 @@ all: vet build test
 # the root ./... does not reach it), the concurrent-client tests repeated
 # to shake out races between writers, the allocation budgets (which hold
 # without the race detector only), and the path-walker equivalence fuzzers
-# for a few seconds each.
+# for a few seconds each, and the block store against a flat-file model for
+# ten (minimizing each new input for at most 200 runs, so the ten seconds
+# go to fuzzing).
 ci: fmt-check vet build
 	$(MAKE) chaos
 	$(GO) test -race ./...
@@ -21,6 +23,7 @@ ci: fmt-check vet build
 	$(GO) test -count=20 -run Concurrent ./internal/cluster
 	$(GO) test -count=1 -run Alloc . ./internal/localfs
 	$(GO) test -run xxx -fuzz FuzzPathWalk -fuzztime 10s ./internal/localfs
+	$(GO) test -run xxx -fuzz FuzzFileData -fuzztime 10s -fuzzminimizetime 200x ./internal/localfs
 	$(GO) test -run xxx -fuzz FuzzSplitVirtual -fuzztime 5s ./internal/core
 	$(MAKE) smoke
 	$(MAKE) scale-smoke
@@ -123,10 +126,11 @@ test:
 # the large-file streaming comparison (stop-and-wait vs pipelined
 # readahead + write-back), and the wall-clock data-path microbenches with
 # their allocation counts (the mount's 32 KiB write/read and warm lookup,
-# and the wire codec), and the store's path walk and mutation notification.
+# and the wire codec), and the store's path walk, mutation notification,
+# 2 MiB sequential write and 32 KiB block read.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkKosha(Write32K|Read32K|Lookup)' -benchmem .
-	$(GO) test -run xxx -bench 'Benchmark(LookupPath|OverwriteNotify)' -benchmem ./internal/localfs
+	$(GO) test -run xxx -bench 'Benchmark(LookupPath|OverwriteNotify|SequentialWrite2MiB|Read32K)' -benchmem ./internal/localfs
 	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Mixed' -benchmem ./internal/wire
 	$(GO) test -run xxx -bench 'BenchmarkParallelMetadata' -cpu=1,2,4,8 -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkAblationMetadataCache' -short -benchtime=1x .

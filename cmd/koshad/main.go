@@ -113,12 +113,14 @@ func main() {
 
 	if *pprofAddr != "" {
 		// /metrics rides the same listener as pprof: Prometheus text
-		// exposition of the node's registry, with the overlay-health
-		// gauges refreshed on every scrape.
+		// exposition of the node's registry and the transport's counters,
+		// with the overlay-health gauges refreshed on every scrape.
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			node.ProbeHealth()
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := obs.WriteProm(w, node.Obs().Snapshot()); err != nil {
+			snap := node.Obs().Snapshot()
+			snap.Merge(tn.Registry().Snapshot())
+			if err := obs.WriteProm(w, snap); err != nil {
 				fmt.Fprintf(os.Stderr, "koshad: metrics: %v\n", err)
 			}
 		})

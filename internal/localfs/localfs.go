@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -105,7 +106,7 @@ type inode struct {
 	mtime    time.Time
 	ctime    time.Time
 
-	data     []byte            // TypeRegular
+	data     fileData          // TypeRegular
 	children map[string]*inode // TypeDir
 	target   string            // TypeSymlink
 
@@ -116,7 +117,7 @@ type inode struct {
 func (in *inode) size() int64 {
 	switch in.typ {
 	case TypeRegular:
-		return int64(len(in.data))
+		return in.data.size
 	case TypeSymlink:
 		return int64(len(in.target))
 	default:
@@ -296,6 +297,14 @@ func (f *FS) noteMutation(p string) {
 	}
 }
 
+// noteInode reports a successful mutation of in, building its path only
+// when there is a subscriber to hear it. Caller holds f.mu.
+func (f *FS) noteInode(in *inode) {
+	if len(f.notify) > 0 {
+		f.noteMutation(f.pathOf(in))
+	}
+}
+
 // pathOf reconstructs an inode's absolute path from its parent/name
 // backpointers, for mutation notifications on handle-based ops. It sizes
 // the path first and builds it in one allocation. Caller holds f.mu.
@@ -363,15 +372,11 @@ func (f *FS) Setattr(ino uint64, sa SetAttr) (Attr, simnet.Cost, error) {
 		if ns < 0 || ns > MaxFileSize {
 			return Attr{}, cost, ErrTooBig
 		}
-		delta := ns - int64(len(in.data))
+		delta := ns - in.data.size
 		if err := f.charge(delta); err != nil {
 			return Attr{}, cost, err
 		}
-		if ns <= int64(len(in.data)) {
-			in.data = in.data[:ns]
-		} else {
-			in.data = append(in.data, make([]byte, ns-int64(len(in.data)))...)
-		}
+		in.data.truncate(ns)
 		in.mtime = f.now()
 		cost = simnet.Seq(cost, f.disk.OpCost(int(abs64(delta))))
 	}
@@ -391,7 +396,7 @@ func (f *FS) Setattr(ino uint64, sa SetAttr) (Attr, simnet.Cost, error) {
 		in.atime = *sa.Atime
 	}
 	in.ctime = f.now()
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -439,10 +444,10 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 		if existing.typ != TypeRegular {
 			return Attr{}, cost, ErrIsDir
 		}
-		f.used -= int64(len(existing.data))
-		existing.data = nil
+		f.used -= existing.data.size
+		existing.data.truncate(0)
 		existing.mtime = f.now()
-		f.noteMutation(f.pathOf(existing))
+		f.noteInode(existing)
 		return f.attrOf(existing), cost, nil
 	}
 	if err := f.charge(f.inodeOverhead); err != nil {
@@ -459,7 +464,7 @@ func (f *FS) Create(dirIno uint64, name string, mode uint32, exclusive bool) (At
 	dir.children[name] = in
 	dir.mtime = t
 	f.files++
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -492,7 +497,7 @@ func (f *FS) Mkdir(dirIno uint64, name string, mode uint32) (Attr, simnet.Cost, 
 	f.inodes[in.ino] = in
 	dir.children[name] = in
 	dir.mtime = t
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -525,7 +530,7 @@ func (f *FS) Symlink(dirIno uint64, name, target string) (Attr, simnet.Cost, err
 	f.inodes[in.ino] = in
 	dir.children[name] = in
 	dir.mtime = t
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return f.attrOf(in), cost, nil
 }
 
@@ -568,15 +573,12 @@ func (f *FS) ReadAppend(dst []byte, ino uint64, offset int64, count int) ([]byte
 	if offset < 0 || count < 0 {
 		return dst, false, f.disk.OpCost(0), ErrInval
 	}
-	size := int64(len(in.data))
+	size := in.data.size
 	if offset >= size {
 		return dst, true, f.disk.OpCost(0), nil
 	}
-	end := offset + int64(count)
-	if end > size {
-		end = size
-	}
-	return append(dst, in.data[offset:end]...), end == size, f.disk.OpCost(int(end - offset)), nil
+	end := min(offset+int64(count), size)
+	return in.data.appendTo(dst, offset, end), end == size, f.disk.OpCost(int(end - offset)), nil
 }
 
 // Write stores data at offset, extending the file as needed.
@@ -601,15 +603,14 @@ func (f *FS) Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, err
 	if end > MaxFileSize {
 		return 0, f.disk.OpCost(0), ErrTooBig
 	}
-	if grow := end - int64(len(in.data)); grow > 0 {
+	if grow := end - in.data.size; grow > 0 {
 		if err := f.charge(grow); err != nil {
 			return 0, f.disk.OpCost(0), err
 		}
-		in.data = append(in.data, make([]byte, grow)...)
 	}
-	copy(in.data[offset:end], data)
+	in.data.write(offset, data)
 	in.mtime = f.now()
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return len(data), cost, nil
 }
 
@@ -723,7 +724,7 @@ func (f *FS) Rename(srcDir uint64, srcName string, dstDir uint64, dstName string
 	if oldPath != "" {
 		f.noteMutation(oldPath)
 	}
-	f.noteMutation(f.pathOf(in))
+	f.noteInode(in)
 	return cost, nil
 }
 
@@ -739,7 +740,7 @@ func (f *FS) Readdir(ino uint64) ([]DirEntry, simnet.Cost, error) {
 	for name, c := range dir.children {
 		out = append(out, DirEntry{Name: name, Ino: c.ino, Type: c.typ})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return out, f.disk.OpCost(len(out) * 32), nil
 }
 
@@ -1018,14 +1019,15 @@ func (f *FS) CorruptFile(p string, off int64) error {
 	if cur.typ != TypeRegular {
 		return fmt.Errorf("%w: corrupt %q: not a regular file", ErrInval, p)
 	}
-	if len(cur.data) == 0 {
+	size := cur.data.size
+	if size == 0 {
 		return fmt.Errorf("%w: corrupt %q: empty file", ErrInval, p)
 	}
-	i := off % int64(len(cur.data))
+	i := off % size
 	if i < 0 {
-		i += int64(len(cur.data))
+		i += size
 	}
-	cur.data[i] ^= 0xFF
+	cur.data.flip(i)
 	return nil
 }
 

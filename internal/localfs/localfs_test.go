@@ -25,7 +25,7 @@ func mustMkdir(t *testing.T, f *FS, dir uint64, name string) Attr {
 	return a
 }
 
-func mustCreate(t *testing.T, f *FS, dir uint64, name string) Attr {
+func mustCreate(t testing.TB, f *FS, dir uint64, name string) Attr {
 	t.Helper()
 	a, _, err := f.Create(dir, name, 0o644, false)
 	if err != nil {

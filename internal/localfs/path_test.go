@@ -149,3 +149,44 @@ func BenchmarkOverwriteNotify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSequentialWrite2MiB writes a 2 MiB file in 32 KiB appends, the
+// way a mount streams one to its primary.
+func BenchmarkSequentialWrite2MiB(b *testing.B) {
+	const fileSize = 2 << 20
+	f := newFS(0)
+	chunk := make([]byte, blockSize)
+	b.SetBytes(fileSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a, _, err := f.Create(RootIno, "big", 0o644, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := int64(0); off < fileSize; off += blockSize {
+			if _, _, err := f.Write(a.Ino, off, chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRead32K reads aligned 32 KiB blocks of a 2 MiB file into a
+// reused reply buffer, as the NFS server does into its reply frame.
+func BenchmarkRead32K(b *testing.B) {
+	const fileSize = 2 << 20
+	f := newFS(0)
+	a := mustCreate(b, f, RootIno, "big")
+	if _, _, err := f.Write(a.Ino, 0, make([]byte, fileSize)); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, 0, 64+blockSize)
+	b.SetBytes(blockSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%(fileSize/blockSize)) * blockSize
+		if _, _, _, err := f.ReadAppend(dst[:64], a.Ino, off, blockSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

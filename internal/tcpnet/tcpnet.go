@@ -16,6 +16,11 @@
 // is given: the caller receives a view of the reply inside the frame read
 // for it, which nothing else references. No connection keeps a buffer of
 // its own between exchanges.
+//
+// A request costs the serving node only what it sends: a frame is read
+// into memory that grows with the bytes received, and a handler that
+// panics answers its caller with an error (counted in
+// "tcpnet.handler_panics") instead of ending the process.
 package tcpnet
 
 import (
@@ -36,6 +41,12 @@ import (
 // maxFrame bounds one request or response frame.
 const maxFrame = 96 << 20
 
+// frameStep is the largest frame read into one allocation sized from its
+// header. A larger frame is read in doubling steps, so the memory a peer
+// can make a node hold follows the bytes it actually sends, not the size
+// it claims.
+const frameStep = 64 << 10
+
 // Net is a TCP-backed simnet.Transport. Handlers registered for the local
 // address are served from the listener; calls to other addresses dial out.
 type Net struct {
@@ -54,6 +65,9 @@ type Net struct {
 	closed  chan struct{}
 	wg      sync.WaitGroup
 	onceOff sync.Once
+
+	reg           *obs.Registry
+	handlerPanics *obs.Counter // "tcpnet.handler_panics"
 }
 
 type conn struct {
@@ -68,16 +82,8 @@ func Listen(listenAddr string, link simnet.LinkModel) (*Net, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", listenAddr, err)
 	}
-	n := &Net{
-		Link:     link,
-		Timeout:  5 * time.Second,
-		local:    simnet.Addr(ln.Addr().String()),
-		ln:       ln,
-		services: make(map[string]simnet.HandlerCtx),
-		conns:    make(map[simnet.Addr]*conn),
-		inbound:  make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
-	}
+	n := Dialer(simnet.Addr(ln.Addr().String()), link)
+	n.ln = ln
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -86,16 +92,22 @@ func Listen(listenAddr string, link simnet.LinkModel) (*Net, error) {
 // Dialer returns a client-only transport (no listener) that originates
 // calls from the given logical address, for tools like koshactl.
 func Dialer(from simnet.Addr, link simnet.LinkModel) *Net {
+	reg := obs.NewRegistry()
 	return &Net{
-		Link:     link,
-		Timeout:  5 * time.Second,
-		local:    from,
-		services: make(map[string]simnet.HandlerCtx),
-		conns:    make(map[simnet.Addr]*conn),
-		inbound:  make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
+		Link:          link,
+		Timeout:       5 * time.Second,
+		local:         from,
+		services:      make(map[string]simnet.HandlerCtx),
+		conns:         make(map[simnet.Addr]*conn),
+		inbound:       make(map[net.Conn]struct{}),
+		closed:        make(chan struct{}),
+		reg:           reg,
+		handlerPanics: reg.Counter("tcpnet.handler_panics"),
 	}
 }
+
+// Registry exposes the transport's own counters ("tcpnet.handler_panics").
+func (n *Net) Registry() *obs.Registry { return n.reg }
 
 // Addr returns the transport's local (advertised) address.
 func (n *Net) Addr() simnet.Addr { return n.local }
@@ -167,11 +179,24 @@ func (n *Net) serve(ctx obs.TraceContext, from simnet.Addr, service string, req 
 		span = sink.NextSpanID()
 		hctx = ctx.Child(span)
 	}
-	resp, cost, err := h(hctx, from, req)
+	resp, cost, err := n.callHandler(h, hctx, from, service, req)
 	if span != 0 {
 		sink.RecordServerSpan(ctx, span, service, from, req, cost, err)
 	}
 	return resp, cost, err
+}
+
+// callHandler runs one handler, turning a panic into an error reply and a
+// count in "tcpnet.handler_panics", so one bad request cannot take the
+// node down. The handler's own state is whatever the panic left it in.
+func (n *Net) callHandler(h simnet.HandlerCtx, ctx obs.TraceContext, from simnet.Addr, service string, req []byte) (resp []byte, cost simnet.Cost, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			n.handlerPanics.Add(1)
+			resp, cost, err = nil, 0, fmt.Errorf("tcpnet: %q handler on %s panicked: %v", service, n.local, p)
+		}
+	}()
+	return h(ctx, from, req)
 }
 
 // Call implements simnet.Caller. Local calls dispatch directly (loopback);
@@ -389,18 +414,29 @@ func writeOpaqueFrame(w io.Writer, hdr *wire.Encoder, body []byte) error {
 	return err
 }
 
+// readFrame reads one length-prefixed frame. A frame up to frameStep bytes
+// is one allocation of its exact size; a larger one grows by doubling as
+// its bytes arrive.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr[:]))
 	if size > maxFrame {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", size)
 	}
-	p := make([]byte, size)
+	p := make([]byte, min(size, frameStep))
 	if _, err := io.ReadFull(r, p); err != nil {
 		return nil, err
+	}
+	for len(p) < size {
+		grown := make([]byte, min(2*len(p), size))
+		copy(grown, p)
+		if _, err := io.ReadFull(r, grown[len(p):]); err != nil {
+			return nil, err
+		}
+		p = grown
 	}
 	return p, nil
 }
