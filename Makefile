@@ -12,10 +12,10 @@ all: vet build test
 # benchmark module's own unit tests (perfbench is a separate Go module, so
 # the root ./... does not reach it), the concurrent-client tests repeated
 # to shake out races between writers, the allocation budgets (which hold
-# without the race detector only), and the path-walker equivalence fuzzers
-# for a few seconds each, and the block store against a flat-file model for
-# ten (minimizing each new input for at most 200 runs, so the ten seconds
-# go to fuzzing).
+# without the race detector only), the path-walker equivalence fuzzers and
+# the koshactl request fuzzer for a few seconds each, and the block store
+# against a flat-file model for ten (minimizing each new input for at most
+# 200 runs, so the ten seconds go to fuzzing).
 ci: fmt-check vet build
 	$(MAKE) chaos
 	$(GO) test -race ./...
@@ -25,6 +25,7 @@ ci: fmt-check vet build
 	$(GO) test -run xxx -fuzz FuzzPathWalk -fuzztime 10s ./internal/localfs
 	$(GO) test -run xxx -fuzz FuzzFileData -fuzztime 10s -fuzzminimizetime 200x ./internal/localfs
 	$(GO) test -run xxx -fuzz FuzzSplitVirtual -fuzztime 5s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzCtlRequest -fuzztime 5s ./internal/core
 	$(MAKE) smoke
 	$(MAKE) scale-smoke
 	$(MAKE) metrics-smoke

@@ -45,10 +45,11 @@ commands:
   tree <path>          recursively list a virtual subtree
   stats [cluster]      per-op latency percentiles, route hops, and overlay events
                        for this node (or aggregated over the whole cluster)
-  trace dump [n]       dump the n most recent operation traces (default: all)
-  trace -id <hex>      collect span fragments from every live node and print
+  trace dump [n]       print the n most recent ops (default: all), each as a
+                       span tree headed by its trace id
+  trace -id <hex>      collect span records from every live node and print
                        the assembled cross-node causal tree for one trace id
-  trace -slow [n]      dump the slow-op flight recorder (never-evicted ring)
+  trace -slow [n]      print the slow-op flight recorder (never-evicted ring)
   samples [n]          dump retained time-series samples (CSV; -json for JSON)
 
 trace dump filters:
@@ -315,7 +316,9 @@ func main() {
 			usage()
 		}
 
-		if *idStr != "" {
+		var ats []*obs.AssembledTrace
+		switch {
+		case *idStr != "":
 			hi, lo, err := obs.ParseTraceID(*idStr)
 			if err != nil {
 				fail(err)
@@ -324,35 +327,34 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			if *jsonOut {
-				emitJSON(at)
-				return
+			ats = []*obs.AssembledTrace{at}
+		case isDump || *slow:
+			var recs []obs.SpanRecord
+			var err error
+			if *slow {
+				recs, _, err = ctl.SlowDump(count)
+			} else {
+				recs, _, err = ctl.TraceDump(count)
 			}
-			printAssembled(at)
-			return
-		}
-
-		if !isDump && !*slow {
+			if err != nil {
+				fail(err)
+			}
+			ats = obs.Assemble(recs)
+		default:
 			usage()
 		}
-
-		var traces []obs.Trace
-		var err error
-		if *slow {
-			traces, _, err = ctl.SlowDump(count)
-		} else {
-			traces, _, err = ctl.TraceDump(count)
+		kept := ats[:0]
+		for _, at := range ats {
+			if keepTrace(at.Root(), *opFilter, *pathFilter, *minDur) {
+				kept = append(kept, at)
+			}
 		}
-		if err != nil {
-			fail(err)
-		}
-		traces = filterTraces(traces, *opFilter, *pathFilter, *minDur)
 		if *jsonOut {
-			emitJSON(traces)
+			emitJSON(kept)
 			return
 		}
-		for _, t := range traces {
-			printTrace(t)
+		for _, at := range kept {
+			printTrace(at)
 		}
 
 	case "samples":
@@ -472,31 +474,21 @@ func printStats(title string, p core.StatsPayload) {
 	}
 }
 
-// filterTraces applies the trace dump filters client-side: operation name,
-// path prefix, and minimum total duration.
-func filterTraces(ts []obs.Trace, op, pathPrefix string, minDur time.Duration) []obs.Trace {
+// keepTrace applies the trace filters to an op's root record: operation
+// name, path prefix, and minimum total duration. A trace whose root was not
+// collected passes only when no filter is set.
+func keepTrace(root *obs.SpanRecord, op, pathPrefix string, minDur time.Duration) bool {
 	if op == "" && pathPrefix == "" && minDur == 0 {
-		return ts
+		return true
 	}
-	out := ts[:0]
-	for _, t := range ts {
-		if op != "" && !strings.EqualFold(t.Op, op) {
-			continue
-		}
-		if pathPrefix != "" && !strings.HasPrefix(t.Path, pathPrefix) {
-			continue
-		}
-		if minDur > 0 && time.Duration(t.TotalNS) < minDur {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
+	return root != nil &&
+		(op == "" || strings.EqualFold(root.Name, op)) &&
+		strings.HasPrefix(root.Path, pathPrefix) &&
+		time.Duration(root.DurNS) >= minDur
 }
 
 // assembleTrace crawls the overlay from seed, collects every live node's
-// fragment of the trace (origin record plus server spans), and reassembles
-// the cluster-wide causal tree.
+// records of the trace, and reassembles the cluster-wide causal tree.
 func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.AssembledTrace, error) {
 	from := seed
 	if d, ok := tn.(interface{ Addr() simnet.Addr }); ok {
@@ -509,7 +501,6 @@ func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.Asse
 			addrs = append(addrs, p.Addr)
 		}
 	}
-	var origin *obs.Trace
 	var frags []obs.SpanRecord
 	reached := 0
 	for _, a := range addrs {
@@ -520,77 +511,55 @@ func assembleTrace(tn simnet.Caller, seed simnet.Addr, hi, lo uint64) (*obs.Asse
 			continue
 		}
 		reached++
-		if p.Origin != nil && origin == nil {
-			origin = p.Origin
-		}
 		frags = append(frags, p.Spans...)
 	}
 	if reached == 0 {
 		return nil, fmt.Errorf("no node answered for trace %s", obs.FormatTraceID(hi, lo))
 	}
-	at := obs.Assemble(hi, lo, origin, frags)
-	if at.SpanCount == 0 && at.Origin == nil {
-		return nil, fmt.Errorf("trace %s not found on any of %d nodes (evicted or never recorded)",
-			obs.FormatTraceID(hi, lo), reached)
+	for _, at := range obs.Assemble(frags) {
+		if at.Hi == hi && at.Lo == lo {
+			return at, nil
+		}
 	}
-	return at, nil
+	return nil, fmt.Errorf("trace %s not found on any of %d nodes (evicted or never recorded)",
+		obs.FormatTraceID(hi, lo), reached)
 }
 
-// printAssembled renders the cluster-wide causal tree of one trace: the
-// origin line (op, path, originating node, end-to-end latency), the overlay
-// hops the origin recorded, then the span tree with per-edge latency.
-func printAssembled(at *obs.AssembledTrace) {
-	fmt.Printf("trace %s", obs.FormatTraceID(at.Hi, at.Lo))
-	if o := at.Origin; o != nil {
-		fmt.Printf("  %s %s  origin %s  total %s", o.Op, o.Path, o.Node, dur(time.Duration(o.TotalNS)))
-		if o.Failovers > 0 {
-			fmt.Printf("  failovers %d", o.Failovers)
-		}
-		if o.Err != "" {
-			fmt.Printf("  err %q", o.Err)
-		}
-	}
-	fmt.Printf("\n  %d spans across %d nodes\n", at.SpanCount, at.NodeCount)
-	if o := at.Origin; o != nil {
-		for _, h := range o.Hops {
-			fmt.Printf("  hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
-		}
-	}
+// printTrace renders one assembled trace as an indented tree under a line
+// naming its trace id (the value trace -id accepts). The op's root record
+// shows the op, path, originating node, total, serving node, replica
+// fan-out, failovers and error; a hop shows the address contacted, its
+// nodeId and prefix-match depth; every other record shows its name, node,
+// caller and duration.
+func printTrace(at *obs.AssembledTrace) {
+	fmt.Printf("trace %s  %d spans across %d nodes\n", obs.FormatTraceID(at.Hi, at.Lo), at.SpanCount, at.NodeCount)
 	at.Walk(func(depth int, n *obs.TraceNode) {
 		sp := n.Span
-		fmt.Printf("  %s%-24s node=%-16s from=%-16s %s",
-			strings.Repeat("  ", depth), sp.Name, sp.Node, sp.From, dur(time.Duration(sp.DurNS)))
+		indent := strings.Repeat("  ", depth+1)
+		switch {
+		case sp.Parent == 0:
+			fmt.Printf("%s%s %s  origin %s  total %s", indent, sp.Name, sp.Path, sp.Node, dur(time.Duration(sp.DurNS)))
+			if sp.ServedBy != "" {
+				fmt.Printf("  served by %s", sp.ServedBy)
+			}
+			if sp.Replicas > 0 {
+				fmt.Printf("  replicas %d", sp.Replicas)
+			}
+			if sp.Failovers > 0 {
+				fmt.Printf("  failovers %d", sp.Failovers)
+			}
+		case sp.Name == obs.SpanHop:
+			fmt.Printf("%shop %s (%s) prefix %d", indent, sp.Node, sp.NodeID, sp.Prefix)
+		default:
+			from := sp.From
+			if from == "" {
+				from = "-"
+			}
+			fmt.Printf("%s%-24s node=%-16s from=%-16s %s", indent, sp.Name, sp.Node, from, dur(time.Duration(sp.DurNS)))
+		}
 		if sp.Err != "" {
 			fmt.Printf("  err %q", sp.Err)
 		}
 		fmt.Println()
 	})
-}
-
-// printTrace renders one operation trace as a compact multi-line record.
-func printTrace(t obs.Trace) {
-	fmt.Printf("#%d %s %s  total %s", t.ID, t.Op, t.Path, dur(time.Duration(t.TotalNS)))
-	if t.ServedBy != "" {
-		fmt.Printf("  served by %s", t.ServedBy)
-	}
-	if t.Replicas > 0 {
-		fmt.Printf("  replicas %d", t.Replicas)
-	}
-	if t.Failovers > 0 {
-		fmt.Printf("  failovers %d", t.Failovers)
-	}
-	if t.Err != "" {
-		fmt.Printf("  err %q", t.Err)
-	}
-	fmt.Println()
-	for _, h := range t.Hops {
-		fmt.Printf("    hop %s (%s) prefix %d\n", h.Addr, h.ID, h.Prefix)
-	}
-	for _, sp := range t.Spans {
-		node := sp.Node
-		if node == "" {
-			node = "-"
-		}
-		fmt.Printf("    span %-10s %-20s %s\n", sp.Name, node, dur(time.Duration(sp.DurNS)))
-	}
 }

@@ -253,16 +253,29 @@ func (n *Node) ctlServeStats(ctx obs.TraceContext, from simnet.Addr, d *wire.Dec
 }
 
 func (n *Node) ctlServeTrace(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
+	return ctlServeRecords(d, e, n.tracer.Recent)
+}
+
+// ctlServeSlow returns the slow-op flight recorder: ops whose total exceeded
+// Config.SlowOpNS, kept in a ring the normal eviction never touches.
+func (n *Node) ctlServeSlow(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
+	return ctlServeRecords(d, e, n.tracer.Slow)
+}
+
+// ctlServeRecords answers a trace or slow request: the records of the count
+// most recent ops the ring holds (each root followed by its client-side
+// spans), newest op first. A count beyond the ring returns the whole ring.
+func ctlServeRecords(d *wire.Decoder, e *wire.Encoder, recent func(n int) []obs.SpanRecord) (simnet.Cost, error) {
 	_ = d.String() // vpath, unused
 	count := int(d.Uint32())
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
-	traces := n.tracer.Recent(count)
-	if traces == nil {
-		traces = []obs.Trace{}
+	recs := recent(count)
+	if recs == nil {
+		recs = []obs.SpanRecord{}
 	}
-	b, err := json.Marshal(traces)
+	b, err := json.Marshal(recs)
 	if err != nil {
 		ctlFail(e, err)
 		return 0, nil
@@ -273,9 +286,9 @@ func (n *Node) ctlServeTrace(ctx obs.TraceContext, from simnet.Addr, d *wire.Dec
 }
 
 // ctlServeTraceFrag returns this node's fragment of one distributed trace:
-// the origin-side Trace if the op started here, plus every server span this
-// node recorded for the 128-bit trace id. koshactl collects fragments from
-// all live nodes and reassembles the causal tree.
+// every record it retains under the 128-bit trace id, the op's own root and
+// client-side spans included when the op began here. koshactl collects
+// fragments from all live nodes and reassembles the causal tree.
 func (n *Node) ctlServeTraceFrag(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
 	_ = d.String() // vpath, unused
 	hi := d.Uint64()
@@ -283,12 +296,7 @@ func (n *Node) ctlServeTraceFrag(ctx obs.TraceContext, from simnet.Addr, d *wire
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
-	var p TraceFragPayload
-	p.Node = string(n.addr)
-	if tr, ok := n.tracer.FindTrace(hi, lo); ok {
-		p.Origin = &tr
-	}
-	p.Spans = n.tracer.SpansFor(hi, lo)
+	p := TraceFragPayload{Node: string(n.addr), Spans: n.tracer.SpansFor(hi, lo)}
 	if p.Spans == nil {
 		p.Spans = []obs.SpanRecord{}
 	}
@@ -325,36 +333,11 @@ func (n *Node) ctlServeSamples(ctx obs.TraceContext, from simnet.Addr, d *wire.D
 	return 0, nil
 }
 
-// ctlServeSlow returns the slow-op flight recorder: traces whose total
-// exceeded Config.SlowOpNS, kept in a ring the normal eviction never
-// touches.
-func (n *Node) ctlServeSlow(ctx obs.TraceContext, from simnet.Addr, d *wire.Decoder, e *wire.Encoder) (simnet.Cost, error) {
-	_ = d.String() // vpath, unused
-	count := int(d.Uint32())
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	traces := n.tracer.Slow(count)
-	if traces == nil {
-		traces = []obs.Trace{}
-	}
-	b, err := json.Marshal(traces)
-	if err != nil {
-		ctlFail(e, err)
-		return 0, nil
-	}
-	e.PutBool(true)
-	e.PutOpaque(b)
-	return 0, nil
-}
-
-// TraceFragPayload is one node's contribution to a distributed trace: the
-// originating Trace when the op began on that node, plus all server spans
-// the node recorded under the trace id.
+// TraceFragPayload is one node's contribution to a distributed trace: every
+// record the node retains under the trace id.
 type TraceFragPayload struct {
-	Node   string           `json:"node"`
-	Origin *obs.Trace       `json:"origin,omitempty"`
-	Spans  []obs.SpanRecord `json:"spans"`
+	Node  string           `json:"node"`
+	Spans []obs.SpanRecord `json:"spans"`
 }
 
 // StatsPayload is the JSON document ctlStats returns: one node's metrics
@@ -527,13 +510,23 @@ func (c *CtlClient) Stats() (StatsPayload, simnet.Cost, error) {
 	return p, cost, nil
 }
 
-// TraceDump fetches up to count recent operation traces from the remote
-// node's ring buffer, newest first (count <= 0 means all retained).
-func (c *CtlClient) TraceDump(count int) ([]obs.Trace, simnet.Cost, error) {
+// TraceDump fetches the records of up to count recent ops from the remote
+// node's op ring, newest op first, each root followed by its client-side
+// spans (count <= 0 means all retained).
+func (c *CtlClient) TraceDump(count int) ([]obs.SpanRecord, simnet.Cost, error) {
+	return c.records(ctlTrace, count)
+}
+
+// SlowDump fetches the flight recorder's ops in TraceDump's shape.
+func (c *CtlClient) SlowDump(count int) ([]obs.SpanRecord, simnet.Cost, error) {
+	return c.records(ctlSlow, count)
+}
+
+func (c *CtlClient) records(proc uint32, count int) ([]obs.SpanRecord, simnet.Cost, error) {
 	if count < 0 {
 		count = 0
 	}
-	d, cost, err := c.call(ctlTrace, "", func(e *wire.Encoder) { e.PutUint32(uint32(count)) })
+	d, cost, err := c.call(proc, "", func(e *wire.Encoder) { e.PutUint32(uint32(count)) })
 	if err != nil {
 		return nil, cost, err
 	}
@@ -541,11 +534,11 @@ func (c *CtlClient) TraceDump(count int) ([]obs.Trace, simnet.Cost, error) {
 	if d.Err() != nil {
 		return nil, cost, d.Err()
 	}
-	var traces []obs.Trace
-	if err := json.Unmarshal(raw, &traces); err != nil {
+	var recs []obs.SpanRecord
+	if err := json.Unmarshal(raw, &recs); err != nil {
 		return nil, cost, err
 	}
-	return traces, cost, nil
+	return recs, cost, nil
 }
 
 // TraceFrag fetches one node's fragment of the distributed trace (hi, lo).
@@ -587,27 +580,6 @@ func (c *CtlClient) Samples(count int) ([]obs.Sample, simnet.Cost, error) {
 		return nil, cost, err
 	}
 	return samples, cost, nil
-}
-
-// SlowDump fetches up to count flight-recorded slow traces, newest first
-// (count <= 0 means all retained).
-func (c *CtlClient) SlowDump(count int) ([]obs.Trace, simnet.Cost, error) {
-	if count < 0 {
-		count = 0
-	}
-	d, cost, err := c.call(ctlSlow, "", func(e *wire.Encoder) { e.PutUint32(uint32(count)) })
-	if err != nil {
-		return nil, cost, err
-	}
-	raw := d.Opaque()
-	if d.Err() != nil {
-		return nil, cost, d.Err()
-	}
-	var traces []obs.Trace
-	if err := json.Unmarshal(raw, &traces); err != nil {
-		return nil, cost, err
-	}
-	return traces, cost, nil
 }
 
 // Status reports the remote node's store occupancy and overlay identity.

@@ -184,7 +184,7 @@ func (m *Mount) Lookup(dir VH, name string) (VH, localfs.Attr, simnet.Cost, erro
 	return vh, attr, cost, err
 }
 
-func (m *Mount) lookup(tr *obs.Trace, dir VH, name string) (VH, localfs.Attr, simnet.Cost, error) {
+func (m *Mount) lookup(tr *obs.Op, dir VH, name string) (VH, localfs.Attr, simnet.Cost, error) {
 	de, err := m.entry(dir)
 	if err != nil {
 		return 0, localfs.Attr{}, m.n.cfg.InterposeCost, err
@@ -252,7 +252,7 @@ func (m *Mount) Getattr(vh VH) (localfs.Attr, simnet.Cost, error) {
 	return attr, cost, err
 }
 
-func (m *Mount) getattr(tr *obs.Trace, vh VH) (localfs.Attr, simnet.Cost, error) {
+func (m *Mount) getattr(tr *obs.Op, vh VH) (localfs.Attr, simnet.Cost, error) {
 	if vh == RootVH {
 		return localfs.Attr{Ino: 1, Type: localfs.TypeDir, Mode: 0o755, Nlink: 2}, m.n.cfg.InterposeCost, nil
 	}
@@ -287,7 +287,7 @@ func (m *Mount) Setattr(vh VH, sa localfs.SetAttr) (localfs.Attr, simnet.Cost, e
 	return attr, cost, err
 }
 
-func (m *Mount) setattr(tr *obs.Trace, vh VH, sa localfs.SetAttr) (localfs.Attr, simnet.Cost, error) {
+func (m *Mount) setattr(tr *obs.Op, vh VH, sa localfs.SetAttr) (localfs.Attr, simnet.Cost, error) {
 	// Buffered writes precede the attribute change in program order.
 	fcost, ferr := m.flushVH(tr, vh)
 	if ferr != nil {
@@ -317,7 +317,7 @@ func (m *Mount) Read(vh VH, offset int64, count int) ([]byte, bool, simnet.Cost,
 	return data, eof, cost, err
 }
 
-func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+func (m *Mount) read(tr *obs.Op, vh VH, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	// Read-your-writes: this handle's buffered write-back data must land
 	// before bytes are served back.
 	fcost, ferr := m.flushVH(tr, vh)
@@ -352,7 +352,7 @@ func (m *Mount) read(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, boo
 
 // readViaReplica attempts one read against a rotating replica holder;
 // ok=false means the caller should use the primary.
-func (m *Mount) readViaReplica(tr *obs.Trace, de *ventry, offset int64, count int) ([]byte, bool, simnet.Cost, bool) {
+func (m *Mount) readViaReplica(tr *obs.Op, de *ventry, offset int64, count int) ([]byte, bool, simnet.Cost, bool) {
 	reps, total, err := m.n.replicaSet(tr.Ctx(), de.node, Key(de.pn), de.root)
 	if err != nil || len(reps) == 0 {
 		return nil, false, total, false
@@ -373,7 +373,9 @@ func (m *Mount) readViaReplica(tr *obs.Trace, de *ventry, offset int64, count in
 		return nil, false, total, false
 	}
 	m.countRead(rep)
-	tr.SetServedBy(string(rep))
+	if tr != nil {
+		tr.Root.ServedBy = string(rep)
+	}
 	if rep == m.n.addr {
 		total = simnet.Seq(total, m.n.cfg.LoopbackXfer(len(d)))
 	}
@@ -412,7 +414,7 @@ func (m *Mount) Write(vh VH, offset int64, data []byte) (int, simnet.Cost, error
 	return n, cost, err
 }
 
-func (m *Mount) write(tr *obs.Trace, vh VH, offset int64, data []byte) (int, simnet.Cost, error) {
+func (m *Mount) write(tr *obs.Op, vh VH, offset int64, data []byte) (int, simnet.Cost, error) {
 	if m.n.cfg.WriteBackBytes > 0 {
 		if n, cost, handled, err := m.writeBuffered(tr, vh, offset, data); handled {
 			return n, cost, err
@@ -443,7 +445,7 @@ func (m *Mount) Create(dir VH, name string, mode uint32, exclusive bool) (VH, lo
 	return vh, attr, cost, err
 }
 
-func (m *Mount) create(tr *obs.Trace, dir VH, name string, mode uint32, exclusive bool) (VH, localfs.Attr, simnet.Cost, error) {
+func (m *Mount) create(tr *obs.Op, dir VH, name string, mode uint32, exclusive bool) (VH, localfs.Attr, simnet.Cost, error) {
 	var out VH
 	var attr localfs.Attr
 	if err := ValidName(name); err != nil {
@@ -491,7 +493,7 @@ func (m *Mount) Symlink(dir VH, name, target string) (VH, simnet.Cost, error) {
 	return vh, cost, err
 }
 
-func (m *Mount) symlink(tr *obs.Trace, dir VH, name, target string) (VH, simnet.Cost, error) {
+func (m *Mount) symlink(tr *obs.Op, dir VH, name, target string) (VH, simnet.Cost, error) {
 	if err := ValidName(name); err != nil {
 		return 0, m.n.cfg.InterposeCost, err
 	}
@@ -535,7 +537,7 @@ func (m *Mount) Readlink(vh VH) (string, simnet.Cost, error) {
 	return target, cost, err
 }
 
-func (m *Mount) readlink(tr *obs.Trace, vh VH) (string, simnet.Cost, error) {
+func (m *Mount) readlink(tr *obs.Op, vh VH) (string, simnet.Cost, error) {
 	var target string
 	cost, err := m.withFailover(tr, vh, func(de *ventry) (simnet.Cost, error) {
 		t, c, err := m.n.nfsT(tr).Readlink(de.node, de.fh)

@@ -25,7 +25,7 @@ func (m *Mount) Mkdir(dir VH, name string, mode uint32) (VH, localfs.Attr, simne
 	return vh, attr, cost, err
 }
 
-func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, localfs.Attr, simnet.Cost, error) {
+func (m *Mount) mkdir(tr *obs.Op, dir VH, name string, mode uint32) (VH, localfs.Attr, simnet.Cost, error) {
 	if err := ValidName(name); err != nil {
 		return 0, localfs.Attr{}, m.n.cfg.InterposeCost, err
 	}
@@ -74,7 +74,7 @@ func (m *Mount) mkdir(tr *obs.Trace, dir VH, name string, mode uint32) (VH, loca
 // name, route, redirect with salts while the target is above the
 // utilization limit, create the hierarchy on the chosen node, and place a
 // special link in the parent when needed (Section 3.3).
-func (m *Mount) mkdirDistributed(tr *obs.Trace, parent *ventry, name string, mode uint32) (VH, localfs.Attr, simnet.Cost, error) {
+func (m *Mount) mkdirDistributed(tr *obs.Op, parent *ventry, name string, mode uint32) (VH, localfs.Attr, simnet.Cost, error) {
 	n := m.n
 	var total simnet.Cost
 
@@ -197,7 +197,7 @@ func (m *Mount) Readdir(dir VH) ([]DirEntry, simnet.Cost, error) {
 	return ents, cost, err
 }
 
-func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) {
+func (m *Mount) readdir(tr *obs.Op, dir VH) ([]DirEntry, simnet.Cost, error) {
 	de, err := m.entry(dir)
 	if err != nil {
 		return nil, m.n.cfg.InterposeCost, err
@@ -252,7 +252,7 @@ func (m *Mount) readdir(tr *obs.Trace, dir VH) ([]DirEntry, simnet.Cost, error) 
 // readdirRoot lists the virtual root: "the /kosha/$USER directory actually
 // corresponds to the union of the /kosha_store/$USER directories on all
 // nodes" (Section 3) — the root listing is the union of store roots.
-func (m *Mount) readdirRoot(tr *obs.Trace) ([]DirEntry, simnet.Cost, error) {
+func (m *Mount) readdirRoot(tr *obs.Op) ([]DirEntry, simnet.Cost, error) {
 	total := m.n.cfg.InterposeCost
 	seen := make(map[string]localfs.FileType)
 	// The union must cover *every* live node, not just the ones this node's
@@ -371,7 +371,7 @@ func (m *Mount) Remove(dir VH, name string) (simnet.Cost, error) {
 	return cost, err
 }
 
-func (m *Mount) remove(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) {
+func (m *Mount) remove(tr *obs.Op, dir VH, name string) (simnet.Cost, error) {
 	return m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
 		if de.place.VRoot {
 			return 0, &nfs.Error{Proc: nfs.ProcRemove, Status: nfs.ErrIsDir}
@@ -412,7 +412,7 @@ func (m *Mount) Rmdir(dir VH, name string) (simnet.Cost, error) {
 	return cost, err
 }
 
-func (m *Mount) rmdir(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) {
+func (m *Mount) rmdir(tr *obs.Op, dir VH, name string) (simnet.Cost, error) {
 	return m.withFailover(tr, dir, func(de *ventry) (simnet.Cost, error) {
 		if m.distributedAt(de) {
 			return m.rmdirDistributed(tr, de, name)
@@ -428,7 +428,7 @@ func (m *Mount) rmdir(tr *obs.Trace, dir VH, name string) (simnet.Cost, error) {
 	})
 }
 
-func (m *Mount) rmdirDistributed(tr *obs.Trace, parent *ventry, name string) (simnet.Cost, error) {
+func (m *Mount) rmdirDistributed(tr *obs.Op, parent *ventry, name string) (simnet.Cost, error) {
 	n := m.n
 	var total simnet.Cost
 	vpath := path.Join(parent.vpath, name)
@@ -510,7 +510,7 @@ func (m *Mount) Rename(srcDir VH, srcName string, dstDir VH, dstName string) (si
 	return cost, err
 }
 
-func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstName string) (simnet.Cost, error) {
+func (m *Mount) rename(tr *obs.Op, srcDir VH, srcName string, dstDir VH, dstName string) (simnet.Cost, error) {
 	total := m.n.cfg.InterposeCost
 	if err := ValidName(dstName); err != nil {
 		return total, err
@@ -595,7 +595,7 @@ func (m *Mount) rename(tr *obs.Trace, srcDir VH, srcName string, dstDir VH, dstN
 // the network) and the special link is rewritten under the new name.
 // ok=false means the cheap path does not apply (an unredirected level-1
 // home, whose placement IS its name) and the caller must copy-and-delete.
-func (m *Mount) renameDistributedLink(tr *obs.Trace, parent *ventry, srcName, dstName string) (simnet.Cost, bool, error) {
+func (m *Mount) renameDistributedLink(tr *obs.Op, parent *ventry, srcName, dstName string) (simnet.Cost, bool, error) {
 	n := m.n
 	var total simnet.Cost
 	child, _, c, err := m.materialize(tr, path.Join(parent.vpath, srcName))

@@ -102,12 +102,12 @@ type Config struct {
 	// real elapsed time is the number of interest; simulated runs leave it
 	// off so histograms are deterministic.
 	WallClockStats bool
-	// TraceBufSize caps the per-node ring buffer of recent operation
-	// traces. 0 selects obs.DefaultTraceBuf; negative disables tracing.
+	// TraceBufSize caps the per-node ring buffer of recent traced
+	// operations. 0 selects obs.DefaultTraceBuf; negative disables tracing.
 	TraceBufSize int
-	// SlowOpNS arms the slow-op flight recorder: finished traces whose total
-	// latency meets or exceeds this many nanoseconds are copied into a
-	// separate ring that ordinary op chatter never evicts, so the outliers
+	// SlowOpNS arms the slow-op flight recorder: finished operations whose
+	// total latency meets or exceeds this many nanoseconds are copied into
+	// a separate ring that ordinary op chatter never evicts, so the outliers
 	// behind a latency SLO breach stay inspectable (koshactl trace -slow).
 	// 0 (default) disables the recorder.
 	SlowOpNS int64
@@ -217,18 +217,20 @@ func (c Config) withDefaults() Config {
 
 // route asks the local p2p component for the node owning key, charging the
 // substrate lookup cost on top of the overlay hops. Every route feeds the
-// route histogram and hop counters; when the caller is tracing, the hop
-// path (with prefix-match depths against the key) is appended to the trace.
-func (n *Node) route(tr *obs.Trace, key id.ID) (pastry.RouteResult, simnet.Cost, error) {
+// route histogram and hop counters; when the caller is tracing, each hop
+// (with its prefix-match depth against the key) and the route stage become
+// child spans of the op.
+func (n *Node) route(tr *obs.Op, key id.ID) (pastry.RouteResult, simnet.Cost, error) {
 	res, err := n.overlay.RouteCtx(tr.Ctx(), key)
 	n.routeCount.Add(1)
 	n.routeHops.Add(uint64(res.Hops))
 	n.routeHist.Observe(time.Duration(res.Cost))
 	if tr != nil {
 		for _, h := range res.Path {
-			tr.AddHop(h.ID.String(), string(h.Addr), id.SharedPrefixLen(h.ID, key))
+			tr.Child(obs.SpanRecord{Name: obs.SpanHop, Node: string(h.Addr),
+				NodeID: h.ID.String(), Prefix: id.SharedPrefixLen(h.ID, key)})
 		}
-		tr.AddSpan("route", string(res.Node.Addr), time.Duration(res.Cost))
+		tr.Child(obs.SpanRecord{Name: "route", Node: string(res.Node.Addr), DurNS: int64(res.Cost)})
 	}
 	return res, simnet.Seq(res.Cost, n.cfg.P2PLookupCost), err
 }
@@ -482,7 +484,7 @@ func (n *Node) NFSProcCount(p nfs.Proc) uint64 { return n.nfsc.ProcCount(p) }
 // route/replicate/failover counters, and the NFS client's RPC counters).
 func (n *Node) Obs() *obs.Registry { return n.reg }
 
-// Tracer returns the node's operation tracer (nil traces when disabled).
+// Tracer returns the node's operation tracer (nil ops when disabled).
 func (n *Node) Tracer() *obs.Tracer { return n.tracer }
 
 // Sampler returns the node's time-series metrics sampler. It is created

@@ -15,7 +15,7 @@ import (
 //  1. the per-procedure RPC latency histograms account for exactly the RPCs
 //     the node's NFS client issued (one shared registry, no double counting);
 //  2. a LOOKUP trace that recorded route hops ends at the node that served
-//     the final NFS RPC (the hop list and ServedBy agree).
+//     the final NFS RPC (the root's hop children and its ServedBy agree).
 func TestCtlStatsTraceRoundTrip(t *testing.T) {
 	_, nodes := testCluster(t, 8, 97, Config{Replicas: 2})
 	for _, nd := range nodes {
@@ -74,34 +74,63 @@ func TestCtlStatsTraceRoundTrip(t *testing.T) {
 	// Invariant 2: clean single-resolution LOOKUP traces with hops end at
 	// ServedBy. Failover or multi-target ops may legitimately diverge, so
 	// only clean lookups are asserted on — but some must exist.
-	traces, _, err := ctl.TraceDump(0)
+	recs, _, err := ctl.TraceDump(0)
 	if err != nil {
 		t.Fatalf("ctl trace dump: %v", err)
 	}
 	checked := 0
-	for _, tr := range traces {
-		if tr.Op != obs.OpLookup || tr.Err != "" || tr.Failovers != 0 {
+	for _, at := range obs.Assemble(recs) {
+		root := at.Root()
+		if root == nil {
+			t.Fatalf("trace %s dumped without its root record", obs.FormatTraceID(at.Hi, at.Lo))
+		}
+		if root.Name != obs.OpLookup || root.Err != "" || root.Failovers != 0 || root.ServedBy == "" {
 			continue
 		}
-		if len(tr.Hops) == 0 || tr.ServedBy == "" {
+		var last string
+		at.Walk(func(depth int, n *obs.TraceNode) {
+			if n.Span.Name == obs.SpanHop && n.Span.Parent == root.Span {
+				last = n.Span.Node
+			}
+		})
+		if last == "" {
 			continue
 		}
 		checked++
-		if last := tr.Hops[len(tr.Hops)-1].Addr; last != tr.ServedBy {
-			t.Errorf("trace %d (%s): hop list ends at %s, served by %s",
-				tr.ID, tr.Path, last, tr.ServedBy)
+		if last != root.ServedBy {
+			t.Errorf("trace %s (%s): hop list ends at %s, served by %s",
+				obs.FormatTraceID(at.Hi, at.Lo), root.Path, last, root.ServedBy)
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no clean LOOKUP traces with route hops retained")
 	}
 
-	// Bounded dumps come back newest first.
+	// Bounded dumps come back newest first: the two most recent ops are the
+	// last two lookups, and they head the full dump in the same order.
 	two, _, err := ctl.TraceDump(2)
-	if err != nil || len(two) > 2 {
-		t.Fatalf("TraceDump(2) = %d traces, err=%v", len(two), err)
+	if err != nil {
+		t.Fatalf("TraceDump(2): %v", err)
 	}
-	if len(two) == 2 && two[0].ID < two[1].ID {
-		t.Errorf("trace dump not newest-first: ids %d, %d", two[0].ID, two[1].ID)
+	roots := rootsOf(two)
+	if len(roots) != 2 {
+		t.Fatalf("TraceDump(2) = %d ops, want 2", len(roots))
 	}
+	all := rootsOf(recs)
+	for i, want := range []string{fmt.Sprintf("/proj%d/file.txt", dirs-1), fmt.Sprintf("/proj%d/file.txt", dirs-2)} {
+		if roots[i].Path != want || roots[i] != all[i] {
+			t.Errorf("trace dump not newest-first: op %d is %s %s, want LOOKUP %s", i, roots[i].Name, roots[i].Path, want)
+		}
+	}
+}
+
+// rootsOf returns the op roots (Parent 0) among dumped records, in order.
+func rootsOf(recs []obs.SpanRecord) []obs.SpanRecord {
+	var roots []obs.SpanRecord
+	for _, r := range recs {
+		if r.Parent == 0 {
+			roots = append(roots, r)
+		}
+	}
+	return roots
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/cas"
 	"repro/internal/id"
 	"repro/internal/localfs"
@@ -79,9 +77,9 @@ var _ repl.Overlay = engineOverlay{}
 
 // --- kosha service (client side) ---
 
-// apply sends a mutation to the primary for key at addr. A non-nil trace
-// records the serving node, the replica fan-out width, and an apply span.
-func (n *Node) apply(tr *obs.Trace, to simnet.Addr, key id.ID, t Track, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
+// apply sends a mutation to the primary for key at addr. A traced op records
+// the serving node, the replica fan-out width, and an apply span.
+func (n *Node) apply(tr *obs.Op, to simnet.Addr, key id.ID, t Track, op FSOp) (localfs.Attr, nfs.Handle, simnet.Cost, error) {
 	e := encodeApplyReq(kApply, applyReq{Key: key, Track: t, Op: op})
 	resp, cost, err := n.callKosha(tr.Ctx(), to, e.Bytes())
 	wire.PutEncoder(e)
@@ -97,10 +95,12 @@ func (n *Node) apply(tr *obs.Trace, to simnet.Addr, key id.ID, t Track, op FSOp)
 	if err := codeToError(code); err != nil {
 		return attr, fh, cost, err
 	}
-	tr.AddSpan("apply", string(to), time.Duration(cost))
-	tr.SetServedBy(string(to))
-	if fanout > 0 {
-		tr.SetReplicas(fanout)
+	if tr != nil {
+		tr.Child(obs.SpanRecord{Name: "apply", Node: string(to), DurNS: int64(cost)})
+		tr.Root.ServedBy = string(to)
+		if fanout > 0 {
+			tr.Root.Replicas = fanout
+		}
 	}
 	return attr, fh, cost, nil
 }

@@ -14,7 +14,7 @@ import (
 // Every public Mount operation runs the same five-stage pipeline; this file
 // holds the stages that are shared between operations.
 //
-//	begin    — open the observability context: trace, latency clock
+//	begin    — open the observability context: root span, latency clock
 //	           (opCtx via begin/beginAt, closed by done)
 //	cache    — consult the client-side attr/name caches; a hit costs only
 //	           the interposition constant (metaCache via the Mount wrappers)
@@ -32,12 +32,13 @@ import (
 // --- begin stage ---
 
 // opCtx carries the observability context of one public mount operation: the
-// op name, its trace (nil when tracing is disabled), and the wall-clock start
-// when Config.WallClockStats selects wall time over simulated cost.
+// op name, its root span and client-side spans (nil when tracing is
+// disabled), and the wall-clock start when Config.WallClockStats selects
+// wall time over simulated cost.
 type opCtx struct {
 	m     *Mount
 	op    obs.OpCode
-	tr    *obs.Trace
+	tr    *obs.Op
 	start time.Time
 }
 
@@ -51,7 +52,7 @@ func (m *Mount) begin(op obs.OpCode, vpath string) opCtx {
 }
 
 // done records the operation's latency sample and counters and publishes the
-// trace. Under simnet the sample is the simulated cost; under a real
+// op's spans. Under simnet the sample is the simulated cost; under a real
 // transport koshad selects wall time via Config.WallClockStats.
 func (o opCtx) done(cost simnet.Cost, err error) {
 	n := o.m.n
@@ -130,7 +131,7 @@ func cacheSuspect(err error) bool {
 // materialize builds a ventry for a virtual path by resolving placement and
 // looking the path up on the storage node. It also returns the entry's
 // attributes (LOOKUP carries them, as in NFS).
-func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
+func (m *Mount) materialize(tr *obs.Op, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
 	parts := SplitVirtual(vpath)
 	if len(parts) == 0 {
 		return &ventry{vpath: "/", kind: localfs.TypeDir, place: Place{VRoot: true, Store: "/"}},
@@ -166,7 +167,9 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		if lerr != nil {
 			return nil, localfs.Attr{}, total, lerr
 		}
-		tr.SetServedBy(string(place.Node))
+		if tr != nil {
+			tr.Root.ServedBy = string(place.Node)
+		}
 		ve := &ventry{
 			vpath:    localfs.Clean(vpath),
 			kind:     attr.Type,
@@ -212,7 +215,9 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 		if lerr != nil {
 			return nil, localfs.Attr{}, total, lerr
 		}
-		tr.SetServedBy(string(parent.Node))
+		if tr != nil {
+			tr.Root.ServedBy = string(parent.Node)
+		}
 		ve := &ventry{
 			vpath:    localfs.Clean(vpath),
 			kind:     attr.Type,
@@ -241,7 +246,7 @@ func (m *Mount) materialize(tr *obs.Trace, vpath string) (*ventry, localfs.Attr,
 // entry hits a non-directory where the root used to be; a fresh resolution
 // follows the link instead. A genuine not-a-directory error survives the
 // retry and is returned unchanged.
-func (m *Mount) materializeRetry(tr *obs.Trace, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
+func (m *Mount) materializeRetry(tr *obs.Op, vpath string) (*ventry, localfs.Attr, simnet.Cost, error) {
 	var total simnet.Cost
 	staleRetried := false
 	for attempt := 0; ; attempt++ {
@@ -276,8 +281,8 @@ func (m *Mount) materializeRetry(tr *obs.Trace, vpath string) (*ventry, localfs.
 // retrying on node failure, stale handles, or primary changes. The
 // interposition constant I is charged once per operation. Each failover is
 // recorded in the overlay event log, the failover latency histogram (the
-// cost of re-resolving onto a replica), and the operation's trace.
-func (m *Mount) withFailover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.Cost, error)) (simnet.Cost, error) {
+// cost of re-resolving onto a replica), and the root span's failover count.
+func (m *Mount) withFailover(tr *obs.Op, vh VH, fn func(de *ventry) (simnet.Cost, error)) (simnet.Cost, error) {
 	total := m.n.cfg.InterposeCost
 	de, err := m.entry(vh)
 	if err != nil {
@@ -291,8 +296,8 @@ func (m *Mount) withFailover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.C
 			// Deeper instrumentation (apply, replica reads, materialize)
 			// records the precise server; otherwise the entry's node
 			// served the final RPC.
-			if tr != nil && tr.ServedBy == "" {
-				tr.SetServedBy(string(de.node))
+			if tr != nil && tr.Root.ServedBy == "" {
+				tr.Root.ServedBy = string(de.node)
 			}
 			return total, nil
 		}
@@ -323,7 +328,9 @@ func (m *Mount) withFailover(tr *obs.Trace, vh VH, fn func(de *ventry) (simnet.C
 		if failedOver {
 			m.n.events.Add(obs.EvFailover, string(m.n.addr), de.vpath)
 			m.n.reg.Observe("op."+obs.OpFailover, time.Duration(c2))
-			tr.Failover()
+			if tr != nil {
+				tr.Root.Failovers++
+			}
 		}
 		if rerr != nil {
 			return total, rerr

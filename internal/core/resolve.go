@@ -110,8 +110,9 @@ func (n *Node) ResolveDir(vdirs []string) (Place, simnet.Cost, error) {
 	return n.resolveDir(nil, vdirs)
 }
 
-// resolveDir is ResolveDir with an optional trace receiving the route hops.
-func (n *Node) resolveDir(tr *obs.Trace, vdirs []string) (Place, simnet.Cost, error) {
+// resolveDir is ResolveDir with an optional traced op receiving the route
+// hops.
+func (n *Node) resolveDir(tr *obs.Op, vdirs []string) (Place, simnet.Cost, error) {
 	if len(vdirs) == 0 {
 		return Place{VRoot: true, Store: "/"}, 0, nil
 	}

@@ -153,8 +153,8 @@ func formatSpanName(service string, proc uint32) string {
 
 // nfsT returns the node's NFS client stamped with tr's trace context: the
 // returned value client propagates the context on every call so the remote
-// server records a child span. A nil trace yields the plain client.
-func (n *Node) nfsT(tr *obs.Trace) nfs.Client {
+// server records a child span. A nil op yields the plain client.
+func (n *Node) nfsT(tr *obs.Op) nfs.Client {
 	if tr == nil {
 		return n.nfsc
 	}
@@ -162,7 +162,7 @@ func (n *Node) nfsT(tr *obs.Trace) nfs.Client {
 }
 
 // nfsCtx is nfsT for call sites that hold a raw context (the repl engine's
-// Peer callbacks) rather than a trace.
+// Peer callbacks) rather than a traced op.
 func (n *Node) nfsCtx(tc obs.TraceContext) nfs.Client {
 	return n.nfsc.WithCtx(tc)
 }

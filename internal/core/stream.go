@@ -148,7 +148,7 @@ func (m *Mount) cancelStream(vh VH) {
 // pipelined READSTREAM (fanned out across replica holders when replica
 // reads are on); any other miss — a seek — cancels the window and falls
 // back to a plain stop-and-wait READ.
-func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
+func (m *Mount) readAhead(tr *obs.Op, vh VH, offset int64, count int) ([]byte, bool, simnet.Cost, error) {
 	st := m.streamOf(vh, true)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -208,7 +208,7 @@ func (m *Mount) readAhead(tr *obs.Trace, vh VH, offset int64, count int) ([]byte
 // holders concurrently (the cost is the slowest segment, not the sum) and
 // stitched back in order. A replica-side failure never fails the window —
 // its segment is refetched from the primary.
-func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) (simnet.Cost, error) {
+func (m *Mount) fillWindow(tr *obs.Op, de *ventry, st *stream, offset int64) (simnet.Cost, error) {
 	chunk, window := m.n.cfg.StreamChunk, m.n.cfg.ReadaheadChunks
 	var total simnet.Cost
 
@@ -272,7 +272,7 @@ func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) 
 		parts[i], eofs[i], costs[i] = d, e, c
 		m.countRead(served)
 		if tr != nil && served != de.node {
-			tr.SetServedBy(string(served))
+			tr.Root.ServedBy = string(served)
 		}
 	}
 	total = simnet.Seq(total, simnet.Par(costs...))
@@ -295,7 +295,7 @@ func (m *Mount) fillWindow(tr *obs.Trace, de *ventry, st *stream, offset int64) 
 
 // replicaHandle resolves (and caches per stream) a replica holder's handle
 // for the file's replica-area copy.
-func (m *Mount) replicaHandle(tr *obs.Trace, st *stream, rep simnet.Addr, de *ventry) (nfs.Handle, simnet.Cost, bool) {
+func (m *Mount) replicaHandle(tr *obs.Op, st *stream, rep simnet.Addr, de *ventry) (nfs.Handle, simnet.Cost, bool) {
 	if fh, ok := st.repFH[rep]; ok {
 		return fh, 0, true
 	}
@@ -315,7 +315,7 @@ func (m *Mount) replicaHandle(tr *obs.Trace, st *stream, rep simnet.Addr, de *ve
 // writeBuffered absorbs one Write into the handle's coalescing buffer,
 // flushing on the byte high-water mark or span-count bound. handled=false
 // sends the caller down the write-through path (non-regular files).
-func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (int, simnet.Cost, bool, error) {
+func (m *Mount) writeBuffered(tr *obs.Op, vh VH, offset int64, data []byte) (int, simnet.Cost, bool, error) {
 	de, err := m.entry(vh)
 	if err != nil || de.kind != localfs.TypeRegular {
 		return 0, 0, false, nil
@@ -352,7 +352,7 @@ func (m *Mount) writeBuffered(tr *obs.Trace, vh VH, offset int64, data []byte) (
 // primary (replica fan-out intact) and empties the buffer. Like the NFSv3
 // write-back contract, dirty data is dropped on error: the failure surfaces
 // to whoever forced the flush — high water, Commit, Close — and is gone.
-func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, error) {
+func (m *Mount) flushLocked(tr *obs.Op, vh VH, st *stream) (simnet.Cost, error) {
 	if len(st.spans) == 0 {
 		return 0, nil
 	}
@@ -384,7 +384,7 @@ func (m *Mount) flushLocked(tr *obs.Trace, vh VH, st *stream) (simnet.Cost, erro
 
 // flushVH flushes the handle's write-back buffer if one exists. A no-op
 // (zero cost) under write-through or when the handle holds no dirty data.
-func (m *Mount) flushVH(tr *obs.Trace, vh VH) (simnet.Cost, error) {
+func (m *Mount) flushVH(tr *obs.Op, vh VH) (simnet.Cost, error) {
 	if m.n.cfg.WriteBackBytes <= 0 {
 		return 0, nil
 	}

@@ -9,12 +9,11 @@ import (
 	"repro/internal/simnet"
 )
 
-// collectFrags gathers one trace's span fragments from every live node over
-// the CTL protocol, exactly as koshactl trace -id does, returning the origin
-// trace (from whichever node retained it) and the merged fragment list.
-func collectFrags(t *testing.T, nodes []*Node, hi, lo uint64) (*obs.Trace, []obs.SpanRecord) {
+// collectFrags gathers one trace's records from every live node over the CTL
+// protocol, exactly as koshactl trace -id does, and returns the merged
+// fragment list (the origin node's root and client-side records included).
+func collectFrags(t *testing.T, nodes []*Node, hi, lo uint64) []obs.SpanRecord {
 	t.Helper()
-	var origin *obs.Trace
 	var frags []obs.SpanRecord
 	for _, nd := range nodes {
 		ctl := &CtlClient{Net: nodes[0].net, From: nodes[0].Addr(), To: nd.Addr()}
@@ -23,11 +22,20 @@ func collectFrags(t *testing.T, nodes []*Node, hi, lo uint64) (*obs.Trace, []obs
 			continue // dead node: reassembly works from the survivors
 		}
 		frags = append(frags, frag.Spans...)
-		if origin == nil && frag.Origin != nil {
-			origin = frag.Origin
+	}
+	return frags
+}
+
+// assemble rebuilds trace (hi, lo) from collected records.
+func assemble(t *testing.T, hi, lo uint64, frags []obs.SpanRecord) *obs.AssembledTrace {
+	t.Helper()
+	for _, at := range obs.Assemble(frags) {
+		if at.Hi == hi && at.Lo == lo {
+			return at
 		}
 	}
-	return origin, frags
+	t.Fatalf("trace %s not assembled from %d records", obs.FormatTraceID(hi, lo), len(frags))
+	return nil
 }
 
 // TestCrossNodeTraceAssembly drives a mutation through a cold mount on a
@@ -51,15 +59,11 @@ func TestCrossNodeTraceAssembly(t *testing.T) {
 	// separately. At least one of node 5's traces must assemble into a tree
 	// with a route hop, a serving span, and a replica fan-out span.
 	var best *obs.AssembledTrace
-	for _, tr := range nodes[5].Tracer().Recent(0) {
-		if tr.Hi == 0 && tr.Lo == 0 {
-			continue
+	for _, tr := range rootsOf(nodes[5].Tracer().Recent(0)) {
+		at := assemble(t, tr.Hi, tr.Lo, collectFrags(t, nodes, tr.Hi, tr.Lo))
+		if at.Root() == nil {
+			t.Fatalf("origin record of trace %s not found via CTL", obs.FormatTraceID(tr.Hi, tr.Lo))
 		}
-		origin, frags := collectFrags(t, nodes, tr.Hi, tr.Lo)
-		if origin == nil {
-			t.Fatalf("origin trace %s not found via CTL", obs.FormatTraceID(tr.Hi, tr.Lo))
-		}
-		at := obs.Assemble(tr.Hi, tr.Lo, origin, frags)
 		if hasSpan(at, "pastry.next-hop") && hasSpan(at, "kosha.apply") && hasSpan(at, "kosha.mirror") {
 			best = at
 			break
@@ -92,8 +96,8 @@ func TestCrossNodeTraceAssembly(t *testing.T) {
 			applyNode = n.Span.Node
 		}
 	})
-	if applyNode == "" || applyNode == best.Origin.Node {
-		t.Fatalf("apply served by %q, want a remote primary (origin %q)", applyNode, best.Origin.Node)
+	if origin := best.Root().Node; applyNode == "" || applyNode == origin {
+		t.Fatalf("apply served by %q, want a remote primary (origin %q)", applyNode, origin)
 	}
 	// Every fragment must carry the same 128-bit id (SpansFor filtered by the
 	// serving nodes, re-check after assembly).
@@ -151,8 +155,8 @@ func TestFailoverKeepsOneTraceID(t *testing.T) {
 	if err != nil || string(data) != "survives" {
 		t.Fatalf("failover read %q err=%v", data, err)
 	}
-	var failed *obs.Trace
-	for _, tr := range reader.Tracer().Recent(0) {
+	var failed *obs.SpanRecord
+	for _, tr := range rootsOf(reader.Tracer().Recent(0)) {
 		if tr.Failovers > 0 {
 			tr := tr
 			failed = &tr
@@ -165,7 +169,7 @@ func TestFailoverKeepsOneTraceID(t *testing.T) {
 	// Uniqueness: the retry continued the original trace, it did not open a
 	// second one for the same op under a different id.
 	count := 0
-	for _, tr := range reader.Tracer().Recent(0) {
+	for _, tr := range rootsOf(reader.Tracer().Recent(0)) {
 		if tr.Hi == failed.Hi && tr.Lo == failed.Lo {
 			count++
 		}
@@ -182,7 +186,7 @@ func TestFailoverKeepsOneTraceID(t *testing.T) {
 			live = append(live, nd)
 		}
 	}
-	_, frags := collectFrags(t, live, failed.Hi, failed.Lo)
+	frags := collectFrags(t, live, failed.Hi, failed.Lo)
 	remote := 0
 	for _, f := range frags {
 		if f.Node != string(reader.Addr()) {
@@ -219,10 +223,7 @@ func TestDupReplaysDoNotDoubleRecordSpans(t *testing.T) {
 	}
 
 	checked := 0
-	for _, tr := range nodes[3].Tracer().Recent(0) {
-		if tr.Hi == 0 && tr.Lo == 0 {
-			continue
-		}
+	for _, tr := range rootsOf(nodes[3].Tracer().Recent(0)) {
 		seen := make(map[uint64]obs.SpanRecord)
 		for _, nd := range nodes {
 			for _, sp := range nd.Tracer().SpansFor(tr.Hi, tr.Lo) {
@@ -230,7 +231,9 @@ func TestDupReplaysDoNotDoubleRecordSpans(t *testing.T) {
 					t.Fatalf("span %d recorded twice (%+v vs %+v)", sp.Span, prev, sp)
 				}
 				seen[sp.Span] = sp
-				checked++
+				if sp.From != "" {
+					checked++
+				}
 			}
 		}
 	}
@@ -306,10 +309,12 @@ func TestCtlObservabilityRoundTrip(t *testing.T) {
 	}
 	ctl := &CtlClient{Net: nodes[0].net, From: nodes[0].Addr(), To: nodes[3].Addr()}
 
-	// Trace fragments: the origin node returns the trace plus local spans.
-	traces, _, err := ctl.TraceDump(1)
-	if err != nil || len(traces) != 1 {
-		t.Fatalf("trace dump: %v err=%v", traces, err)
+	// Trace fragments: the origin node returns the op's root record plus
+	// local spans.
+	recs, _, err := ctl.TraceDump(1)
+	traces := rootsOf(recs)
+	if err != nil || len(traces) != 1 || recs[0] != traces[0] {
+		t.Fatalf("trace dump: %v err=%v", recs, err)
 	}
 	frag, _, err := ctl.TraceFrag(traces[0].Hi, traces[0].Lo)
 	if err != nil {
@@ -318,8 +323,8 @@ func TestCtlObservabilityRoundTrip(t *testing.T) {
 	if frag.Node != string(nodes[3].Addr()) {
 		t.Fatalf("frag.Node = %q", frag.Node)
 	}
-	if frag.Origin == nil || frag.Origin.Hi != traces[0].Hi || frag.Origin.Lo != traces[0].Lo {
-		t.Fatalf("frag origin = %+v", frag.Origin)
+	if len(frag.Spans) == 0 || frag.Spans[0] != traces[0] {
+		t.Fatalf("frag does not start with the op's root record: %+v", frag.Spans)
 	}
 
 	// Sampler: tick twice around counter movement, read the timeline back.
@@ -335,12 +340,13 @@ func TestCtlObservabilityRoundTrip(t *testing.T) {
 	}
 
 	// Slow-op recorder: with SlowOpNS=1 every op qualifies.
-	slow, _, err := ctl.SlowDump(0)
+	slowRecs, _, err := ctl.SlowDump(0)
+	slow := rootsOf(slowRecs)
 	if err != nil || len(slow) == 0 {
 		t.Fatalf("slow dump = %d err=%v", len(slow), err)
 	}
 	for _, tr := range slow {
-		if tr.TotalNS < 1 {
+		if tr.DurNS < 1 {
 			t.Fatalf("sub-threshold trace in slow ring: %+v", tr)
 		}
 	}

@@ -540,17 +540,26 @@ func (f *FS) Write(ino uint64, offset int64, data []byte) (int, simnet.Cost, err
 	if end > localfs.MaxFileSize {
 		return 0, f.disk.OpCost(0), localfs.ErrTooBig
 	}
-	if grow := end - a.Size; grow > 0 {
-		if err := f.charge(grow); err != nil {
-			return 0, f.disk.OpCost(0), err
-		}
+	grow := max(end-a.Size, 0)
+	if err := f.charge(grow); err != nil {
+		return 0, f.disk.OpCost(0), err
 	}
 	fh, err := os.OpenFile(f.host(rel), os.O_WRONLY, 0)
 	if err != nil {
+		f.used -= grow
 		return 0, f.disk.OpCost(0), mapErr(err)
 	}
 	defer fh.Close()
-	if _, err := fh.WriteAt(data, offset); err != nil {
+	// WriteAt of no bytes leaves the file's size alone, so a zero-length
+	// write past EOF extends the file explicitly, as the in-memory store
+	// does.
+	if len(data) == 0 && grow > 0 {
+		err = fh.Truncate(end)
+	} else {
+		_, err = fh.WriteAt(data, offset)
+	}
+	if err != nil {
+		f.used -= grow
 		return 0, f.disk.OpCost(0), mapErr(err)
 	}
 	f.noteMutation(rel)

@@ -22,6 +22,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("LookupAndErrors", func(t *testing.T) { testLookupAndErrors(t, factory) })
 	t.Run("Quota", func(t *testing.T) { testQuota(t, factory) })
 	t.Run("Truncate", func(t *testing.T) { testTruncate(t, factory) })
+	t.Run("ZeroLengthWritePastEOF", func(t *testing.T) { testZeroLengthWritePastEOF(t, factory) })
 	t.Run("RemoveRmdir", func(t *testing.T) { testRemoveRmdir(t, factory) })
 	t.Run("Rename", func(t *testing.T) { testRename(t, factory) })
 	t.Run("HandleStableAcrossRename", func(t *testing.T) { testHandleStable(t, factory) })
@@ -164,6 +165,38 @@ func testTruncate(t *testing.T, factory Factory) {
 	mode := uint32(0o600)
 	if got, _, err := f.Setattr(a.Ino, localfs.SetAttr{Mode: &mode}); err != nil || got.Mode != 0o600 {
 		t.Fatalf("chmod: %+v err=%v", got, err)
+	}
+}
+
+// testZeroLengthWritePastEOF holds both stores to one answer for a write of
+// no bytes at an offset past EOF: the file grows to that offset, the gap
+// reads as zeros, and Used() charges exactly the new size.
+func testZeroLengthWritePastEOF(t *testing.T, factory Factory) {
+	f := factory(t, 0)
+	a, _, err := f.Create(localfs.RootIno, "z", 0o644, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := f.Write(a.Ino, 100, nil); err != nil || n != 0 {
+		t.Fatalf("zero-length write: n=%d err=%v", n, err)
+	}
+	got, _, err := f.Getattr(a.Ino)
+	if err != nil || got.Size != 100 {
+		t.Fatalf("size after zero-length write at 100 = %d err=%v, want 100", got.Size, err)
+	}
+	if f.Used() != 100 {
+		t.Fatalf("used = %d, want 100", f.Used())
+	}
+	data, _, _, err := f.Read(a.Ino, 0, 200)
+	if err != nil || !bytes.Equal(data, make([]byte, 100)) {
+		t.Fatalf("read back %d bytes err=%v, want 100 zeros", len(data), err)
+	}
+	// A zero-length write inside the file changes nothing.
+	if _, _, err := f.Write(a.Ino, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := f.Getattr(a.Ino); got.Size != 100 || f.Used() != 100 {
+		t.Fatalf("after in-file zero-length write size=%d used=%d, want 100/100", got.Size, f.Used())
 	}
 }
 

@@ -4,81 +4,101 @@ import (
 	"sort"
 )
 
-// TraceNode is one node of an assembled causal tree: a server-side span and
-// the spans it caused (nested RPCs the server issued while handling it).
+// TraceNode is one node of an assembled causal tree: a record and the
+// records it caused (an op's stages and hops, the nested RPCs a server
+// issued while handling a span).
 type TraceNode struct {
 	Span     SpanRecord   `json:"span"`
 	Children []*TraceNode `json:"children,omitempty"`
 }
 
 // AssembledTrace is the cluster-wide view of one operation, rebuilt from the
-// originating node's Trace plus server-span fragments collected from every
-// live node. Roots are the spans directly caused by the origin (route hops,
-// the serving NFS RPC, the primary apply); deeper fan-out (mirrors pushed by
-// the primary) hangs beneath them. Spans whose parent fragment was evicted
-// from its ring surface as additional roots rather than being dropped.
+// records collected from every live node. The op's root record (Parent 0)
+// heads the tree; a record whose parent was evicted from its ring surfaces
+// as an additional root rather than being dropped.
 type AssembledTrace struct {
-	Hi     uint64       `json:"hi"`
-	Lo     uint64       `json:"lo"`
-	Origin *Trace       `json:"origin,omitempty"`
-	Roots  []*TraceNode `json:"roots,omitempty"`
-	// NodeCount is how many distinct cluster nodes contributed spans
-	// (including the origin).
+	Hi    uint64       `json:"hi"`
+	Lo    uint64       `json:"lo"`
+	Roots []*TraceNode `json:"roots,omitempty"`
+	// NodeCount is how many distinct cluster nodes the records name.
 	NodeCount int `json:"node_count"`
 	SpanCount int `json:"span_count"`
 }
 
-// Assemble rebuilds the causal tree for one trace id from an optional origin
-// trace and span fragments gathered across the cluster. Duplicate fragments
-// (the same span collected twice) are dropped; ordering is deterministic
-// (children sorted by span id) so identical inputs render identically.
-func Assemble(hi, lo uint64, origin *Trace, frags []SpanRecord) *AssembledTrace {
-	at := &AssembledTrace{Hi: hi, Lo: lo, Origin: origin}
-	nodes := make(map[uint64]*TraceNode, len(frags))
-	seen := make(map[string]bool)
-	order := make([]uint64, 0, len(frags))
-	for _, f := range frags {
-		if f.Hi != hi || f.Lo != lo || f.Span == 0 {
+// Assemble rebuilds the causal tree of every trace the records belong to,
+// in the order each trace id first appears. Duplicate records (the same
+// span collected twice) are dropped. Siblings are ordered deterministically:
+// the originating node's records (From empty) first, in the order they were
+// recorded, then server spans by span id, so identical inputs render
+// identically.
+func Assemble(recs []SpanRecord) []*AssembledTrace {
+	type key struct{ hi, lo, span uint64 } // span 0 names the trace itself
+	type nodeKey struct {
+		hi, lo uint64
+		node   string
+	}
+	var out []*AssembledTrace
+	traces := make(map[key]*AssembledTrace)
+	nodes := make(map[key]*TraceNode, len(recs))
+	named := make(map[nodeKey]bool)
+	order := make([]*TraceNode, 0, len(recs))
+	for _, r := range recs {
+		k := key{r.Hi, r.Lo, r.Span}
+		if r.Span == 0 || (r.Hi == 0 && r.Lo == 0) || nodes[k] != nil {
 			continue
 		}
-		if nodes[f.Span] != nil {
-			continue
+		at := traces[key{r.Hi, r.Lo, 0}]
+		if at == nil {
+			at = &AssembledTrace{Hi: r.Hi, Lo: r.Lo}
+			traces[key{r.Hi, r.Lo, 0}] = at
+			out = append(out, at)
 		}
-		nodes[f.Span] = &TraceNode{Span: f}
-		order = append(order, f.Span)
-		if !seen[f.Node] {
-			seen[f.Node] = true
-		}
+		n := &TraceNode{Span: r}
+		nodes[k] = n
+		order = append(order, n)
 		at.SpanCount++
-	}
-	if origin != nil && origin.Node != "" && !seen[origin.Node] {
-		seen[origin.Node] = true
-	}
-	at.NodeCount = len(seen)
-
-	rootSpan := uint64(0)
-	if origin != nil {
-		rootSpan = origin.Span
-	}
-	for _, id := range order {
-		n := nodes[id]
-		if n.Span.Parent != rootSpan {
-			if p := nodes[n.Span.Parent]; p != nil {
-				p.Children = append(p.Children, n)
-				continue
-			}
+		if nk := (nodeKey{r.Hi, r.Lo, r.Node}); r.Node != "" && !named[nk] {
+			named[nk] = true
+			at.NodeCount++
 		}
+	}
+	for _, n := range order {
+		r := n.Span
+		if p := nodes[key{r.Hi, r.Lo, r.Parent}]; p != nil {
+			p.Children = append(p.Children, n)
+			continue
+		}
+		at := traces[key{r.Hi, r.Lo, 0}]
 		at.Roots = append(at.Roots, n)
 	}
-	sortTree(at.Roots)
-	return at
+	for _, at := range out {
+		sortTree(at.Roots)
+	}
+	return out
 }
 
 func sortTree(ns []*TraceNode) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].Span.Span < ns[j].Span.Span })
+	sort.SliceStable(ns, func(i, j int) bool {
+		a, b := ns[i].Span, ns[j].Span
+		if (a.From == "") != (b.From == "") {
+			return a.From == ""
+		}
+		return a.From != "" && a.Span < b.Span
+	})
 	for _, n := range ns {
 		sortTree(n.Children)
 	}
+}
+
+// Root returns the op's root record, or nil when the originating node's
+// records were not collected (evicted, or that node is down).
+func (a *AssembledTrace) Root() *SpanRecord {
+	for _, n := range a.Roots {
+		if n.Span.Parent == 0 {
+			return &n.Span
+		}
+	}
+	return nil
 }
 
 // Walk visits every node of the tree depth-first, parents before children.

@@ -56,19 +56,3 @@ func ParseTraceID(s string) (hi, lo uint64, err error) {
 	}
 	return hi, lo, nil
 }
-
-// SpanRecord is one server-side span fragment: the trace it belongs to, its
-// position in the causal tree (Parent -> Span), and what ran where. Recorded
-// by the transport layer on the serving node, so every service (nfs, kosha,
-// pastry, ctl) gets spans without per-handler instrumentation.
-type SpanRecord struct {
-	Hi     uint64 `json:"hi"`
-	Lo     uint64 `json:"lo"`
-	Parent uint64 `json:"parent"`
-	Span   uint64 `json:"span"`
-	Name   string `json:"name"`
-	From   string `json:"from,omitempty"`
-	Node   string `json:"node"`
-	DurNS  int64  `json:"dur_ns"`
-	Err    string `json:"err,omitempty"`
-}

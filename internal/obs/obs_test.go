@@ -164,50 +164,32 @@ func TestSnapshotMergeAndMeanRatio(t *testing.T) {
 	}
 }
 
-func TestTracerRingWraparound(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 1; i <= 10; i++ {
-		sp := tr.Start("LOOKUP", fmt.Sprintf("/p%d", i), "node00")
-		sp.AddHop("ab12", "node01", 2)
-		sp.SetServedBy("node01")
-		tr.Finish(sp, time.Duration(i)*time.Millisecond, nil)
-	}
-	got := tr.Recent(0)
-	if len(got) != 4 {
-		t.Fatalf("retained %d traces, want 4", len(got))
-	}
-	// Newest first: paths /p10../p7.
-	for i, want := range []string{"/p10", "/p9", "/p8", "/p7"} {
-		if got[i].Path != want {
-			t.Errorf("recent[%d].Path = %s, want %s", i, got[i].Path, want)
-		}
-	}
-	if got[0].ServedBy != "node01" || len(got[0].Hops) != 1 {
-		t.Errorf("trace lost fields: %+v", got[0])
-	}
-	if sub := tr.Recent(2); len(sub) != 2 || sub[0].Path != "/p10" {
-		t.Errorf("Recent(2) = %+v", sub)
-	}
-}
-
 func TestTracerDisabledAndNilSafety(t *testing.T) {
 	tr := NewTracer(0)
-	sp := tr.Start("READ", "/x", "node00")
-	if sp != nil {
-		t.Fatal("disabled tracer returned a trace")
+	if tr.Enabled() {
+		t.Fatal("zero-capacity tracer reports enabled")
 	}
-	// Every mutator must tolerate the nil trace.
-	sp.AddHop("a", "b", 1)
-	sp.AddSpan("rpc", "node01", time.Millisecond)
-	sp.SetServedBy("node01")
-	sp.SetReplicas(2)
-	sp.Failover()
-	tr.Finish(sp, time.Millisecond, errors.New("boom"))
+	op := tr.Start("READ", "/x", "node00")
+	if op != nil {
+		t.Fatal("disabled tracer returned an op")
+	}
+	// The op's methods must tolerate the nil op.
+	op.Child(SpanRecord{Name: SpanHop, Node: "b", NodeID: "a", Prefix: 1})
+	op.Child(SpanRecord{Name: "rpc", Node: "node01", DurNS: int64(time.Millisecond)})
+	if op.Ctx().Valid() {
+		t.Fatal("nil op yields a valid context")
+	}
+	tr.Finish(op, time.Millisecond, errors.New("boom"))
+	tr.RecordSpan(SpanRecord{Hi: 1, Lo: 1, Span: 1})
 	if got := tr.Recent(0); got != nil {
-		t.Fatalf("disabled tracer retained traces: %v", got)
+		t.Fatalf("disabled tracer retained ops: %v", got)
+	}
+	if got := tr.SpansFor(1, 1); got != nil {
+		t.Fatalf("disabled tracer retained spans: %v", got)
 	}
 	var nilTracer *Tracer
-	if nilTracer.Start("X", "/", "n") != nil || nilTracer.Recent(1) != nil {
+	if nilTracer.Start("X", "/", "n") != nil || nilTracer.Recent(1) != nil ||
+		nilTracer.Slow(1) != nil || nilTracer.SpansFor(1, 1) != nil {
 		t.Fatal("nil tracer not inert")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,10 +48,7 @@ type Sampler struct {
 	mu    sync.Mutex
 	last  Snapshot
 	lastT time.Time
-	ring  []Sample
-	cap   int
-	next  int
-	full  bool
+	ring  ring[Sample]
 
 	stop chan struct{}
 	done chan struct{}
@@ -68,7 +66,7 @@ func NewSamplerFunc(src func() Snapshot, capacity int) *Sampler {
 	if capacity <= 0 {
 		capacity = DefaultSampleBuf
 	}
-	return &Sampler{src: src, cap: capacity}
+	return &Sampler{src: src, ring: newRing[Sample](capacity)}
 }
 
 // TickNow takes one sample at the given timestamp. The first tick only
@@ -87,16 +85,7 @@ func (s *Sampler) TickNow(now time.Time) Sample {
 	}
 	sm := diffSample(s.last, snap, s.lastT, now)
 	s.last, s.lastT = snap, now
-	if !s.full && s.next == len(s.ring) && len(s.ring) < s.cap {
-		s.ring = append(s.ring, sm)
-	} else {
-		s.ring[s.next] = sm
-	}
-	s.next++
-	if s.next == s.cap {
-		s.next = 0
-		s.full = true
-	}
+	s.ring.push(sm)
 	return sm
 }
 
@@ -159,19 +148,8 @@ func (s *Sampler) Recent(n int) []Sample {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size := s.next
-	start := 0
-	if s.full {
-		size = s.cap
-		start = s.next
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Sample, 0, n)
-	for i := size - n; i < size; i++ {
-		out = append(out, s.ring[(start+i)%s.cap])
-	}
+	out := s.ring.newest(n, nil)
+	slices.Reverse(out)
 	return out
 }
 

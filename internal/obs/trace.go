@@ -6,145 +6,114 @@ import (
 	"time"
 )
 
-// DefaultTraceBuf is the default capacity of the per-node trace ring buffer.
+// DefaultTraceBuf is the default number of operations a node's tracer
+// retains.
 const DefaultTraceBuf = 256
 
-// DefaultSlowBuf is the capacity of the slow-op flight recorder ring: traces
+// DefaultSlowBuf is the capacity of the slow-op flight recorder: operations
 // exceeding the SLO threshold are copied here so a burst of fast chatter
 // cannot evict the interesting outliers from observation.
 const DefaultSlowBuf = 64
 
-// spanRingFactor sizes the server-span fragment ring relative to the trace
-// ring: one traced op can fan out to several server spans (route hops, the
-// serving RPC, K mirrors), so fragments need proportionally more room.
+// spanRingFactor sizes the server-span ring relative to the op ring: one
+// traced op can fan out to several server spans (route hops, the serving
+// RPC, K mirrors), so they need proportionally more room.
 const spanRingFactor = 4
 
-// Hop is one overlay routing step: the node contacted, its nodeId, and how
-// many nodeId digits it shares with the destination key (the prefix-match
-// depth that Pastry routing is improving at each step).
-type Hop struct {
-	ID     string `json:"id"`
-	Addr   string `json:"addr"`
-	Prefix int    `json:"prefix"`
+// SpanHop names a client-side record of one overlay routing step.
+const SpanHop = "hop"
+
+// SpanRecord is the one record shape of a trace: a node of the causal tree
+// (Parent -> Span) of one operation, the trace named by (Hi, Lo). Three
+// kinds of record share it:
+//
+//   - the root, Parent 0: one client operation on the node that ran it. Name
+//     is the op, Node the originating node, DurNS the op's total, and the
+//     root alone carries Path, ServedBy, Replicas and Failovers;
+//   - a client-side child of the root, recorded by the originating node and
+//     with From empty: a timed stage ("route", "apply", Node the node it
+//     concerned) or an overlay hop (Name SpanHop, Node the address
+//     contacted, NodeID its nodeId, Prefix the digits it shares with the
+//     key);
+//   - a server span, recorded by the transport on the node that served an
+//     RPC (From the caller), so every service (nfs, kosha, pastry, ctl) gets
+//     spans without per-handler instrumentation.
+//
+// It has no slice fields: a copy of a record is a plain value copy.
+type SpanRecord struct {
+	Hi     uint64 `json:"hi"`
+	Lo     uint64 `json:"lo"`
+	Parent uint64 `json:"parent"`
+	Span   uint64 `json:"span"`
+	Name   string `json:"name"`
+	Path   string `json:"path,omitempty"`
+	From   string `json:"from,omitempty"`
+	Node   string `json:"node"`
+	DurNS  int64  `json:"dur_ns"`
+	Err    string `json:"err,omitempty"`
+
+	ServedBy  string `json:"served_by,omitempty"` // node that served the op's final RPC
+	Replicas  int    `json:"replicas,omitempty"`  // replica fan-out of the op's final apply
+	Failovers int    `json:"failovers,omitempty"` // transparent failover retries
+
+	NodeID string `json:"node_id,omitempty"`
+	Prefix int    `json:"prefix,omitempty"`
 }
 
-// Span is one timed stage inside an operation (resolve, route, an NFS RPC,
-// replica fan-out, a failover retry).
-type Span struct {
-	Name  string `json:"name"`
-	Node  string `json:"node,omitempty"`
-	DurNS int64  `json:"dur_ns"`
+// Op is one client operation while it runs: its root span and the
+// client-side spans recorded beneath it, published together by
+// Tracer.Finish. Tracer.Start returns nil when tracing is off; Child and Ctx
+// are nil-safe, so instrumented paths pay one nil check.
+type Op struct {
+	Root SpanRecord
+	kids []SpanRecord // immutable once published
 }
 
-// Trace follows one virtual-mount operation end to end: Mount resolve →
-// pastry route (hop by hop) → NFS RPC → replica fan-out. A trace is built by
-// a single goroutine (the one running the op) and published to the ring
-// buffer by Finish.
-type Trace struct {
-	ID uint64 `json:"id"`
-	// Hi/Lo are the cluster-wide 128-bit trace id carried across RPC
-	// boundaries by TraceContext; Span is the id of the trace's root span
-	// (every server-side fragment of this op descends from it). Drawn from
-	// the tracer's seeded generator so runs replay deterministically.
-	Hi        uint64    `json:"hi,omitempty"`
-	Lo        uint64    `json:"lo,omitempty"`
-	Span      uint64    `json:"span,omitempty"`
-	Op        string    `json:"op"`
-	Path      string    `json:"path"`
-	Node      string    `json:"node"` // originating node
-	Start     time.Time `json:"start"`
-	TotalNS   int64     `json:"total_ns"`
-	Hops      []Hop     `json:"hops,omitempty"`
-	Spans     []Span    `json:"spans,omitempty"`
-	ServedBy  string    `json:"served_by,omitempty"` // node that served the final NFS RPC
-	Replicas  int       `json:"replicas,omitempty"`  // replica fan-out of the final apply
-	Failovers int       `json:"failovers,omitempty"`
-	Err       string    `json:"err,omitempty"`
-}
-
-// All mutators are nil-safe so instrumentation points never need to guard
-// against tracing being disabled.
-
-// AddHop appends an overlay hop.
-func (t *Trace) AddHop(id, addr string, prefix int) {
-	if t == nil {
+// Child records a client-side span (a stage or a hop) beneath the root,
+// filling in its trace id, parent and span id.
+func (o *Op) Child(rec SpanRecord) {
+	if o == nil {
 		return
 	}
-	t.Hops = append(t.Hops, Hop{ID: id, Addr: addr, Prefix: prefix})
+	rec.Hi, rec.Lo, rec.Parent = o.Root.Hi, o.Root.Lo, o.Root.Span
+	rec.Span = mix64(o.Root.Span + uint64(len(o.kids)) + 1)
+	o.kids = append(o.kids, rec)
 }
 
-// AddSpan appends a timed stage.
-func (t *Trace) AddSpan(name, node string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.Spans = append(t.Spans, Span{Name: name, Node: node, DurNS: int64(d)})
-}
-
-// SetServedBy records the node that served the operation's final NFS RPC.
-func (t *Trace) SetServedBy(node string) {
-	if t == nil || node == "" {
-		return
-	}
-	t.ServedBy = node
-}
-
-// SetReplicas records the replica fan-out width of the final apply.
-func (t *Trace) SetReplicas(k int) {
-	if t == nil {
-		return
-	}
-	t.Replicas = k
-}
-
-// Failover counts a transparent failover retry.
-func (t *Trace) Failover() {
-	if t == nil {
-		return
-	}
-	t.Failovers++
-}
-
-// Ctx returns the propagation context for RPCs issued under this trace: the
-// trace id parented at the root span. Nil-safe: a disabled trace yields the
-// zero context, which transports treat as "do not record".
-func (t *Trace) Ctx() TraceContext {
-	if t == nil {
+// Ctx returns the propagation context for RPCs issued under the op: its
+// trace id parented at the root span. A nil op yields the zero context,
+// which transports treat as "do not record".
+func (o *Op) Ctx() TraceContext {
+	if o == nil {
 		return TraceContext{}
 	}
-	return TraceContext{Hi: t.Hi, Lo: t.Lo, Span: t.Span}
+	return TraceContext{Hi: o.Root.Hi, Lo: o.Root.Lo, Span: o.Root.Span}
 }
 
-// Tracer hands out traces and keeps the most recent ones in a bounded ring
-// buffer. A zero-capacity tracer is disabled and returns nil traces (every
-// Trace mutator is nil-safe, so instrumented paths pay one nil check).
+// Tracer hands out ops and keeps three rings: the most recent finished ops,
+// the server spans this node recorded, and the slow-op flight recorder. A
+// zero-capacity tracer is disabled and Start returns nil.
 type Tracer struct {
-	cap     int
-	seq     atomic.Uint64
 	idState atomic.Uint64 // splitmix64 state behind trace/span ids
 	slowNS  atomic.Int64  // SLO threshold; 0 disables the flight recorder
 
-	mu   sync.Mutex
-	ring []Trace
-	next int
-	full bool
-
-	spanMu   sync.Mutex
-	spans    []SpanRecord
-	spanCap  int
-	spanNext int
-	spanFull bool
-
-	slowMu   sync.Mutex
-	slow     []Trace
-	slowNext int
-	slowFull bool
+	mu    sync.Mutex
+	ops   ring[Op]
+	spans ring[SpanRecord]
+	slow  ring[Op]
 }
 
-// NewTracer returns a tracer retaining up to capacity traces; capacity <= 0
+// NewTracer returns a tracer retaining up to capacity ops; capacity <= 0
 // disables tracing.
 func NewTracer(capacity int) *Tracer {
-	return &Tracer{cap: capacity, spanCap: capacity * spanRingFactor}
+	if capacity <= 0 {
+		return &Tracer{}
+	}
+	return &Tracer{
+		ops:   newRing[Op](capacity),
+		spans: newRing[SpanRecord](capacity * spanRingFactor),
+		slow:  newRing[Op](DefaultSlowBuf),
+	}
 }
 
 // SeedIDs seeds the deterministic generator behind trace and span ids. Nodes
@@ -166,7 +135,7 @@ func (t *Tracer) rand64() uint64 {
 // rand3 derives three id words (trace hi/lo + root span) from ONE advance of
 // the stream: Start runs on every client operation, often from many
 // goroutines at once, and a single atomic RMW on the shared state keeps the
-// contention there no worse than the pre-tracing sequence counter.
+// contention there no worse than a plain sequence counter.
 func (t *Tracer) rand3() (a, b, c uint64) {
 	base := t.idState.Add(0x9e3779b97f4a7c15)
 	return mix64(base), mix64(base ^ 0x94d049bb133111eb), mix64(base ^ 0xbf58476d1ce4e5b9)
@@ -193,7 +162,7 @@ func (t *Tracer) NextSpanID() uint64 {
 	return t.rand64()
 }
 
-// SetSlowThreshold arms the slow-op flight recorder: finished traces whose
+// SetSlowThreshold arms the slow-op flight recorder: finished ops whose
 // total meets or exceeds ns are copied into a separate ring that op chatter
 // never evicts. ns <= 0 disarms it.
 func (t *Tracer) SetSlowThreshold(ns int64) {
@@ -203,200 +172,96 @@ func (t *Tracer) SetSlowThreshold(ns int64) {
 	t.slowNS.Store(ns)
 }
 
-// RecordSpan publishes one server-side span fragment into the span ring.
-func (t *Tracer) RecordSpan(rec SpanRecord) {
-	if t == nil || t.spanCap <= 0 {
-		return
-	}
-	t.spanMu.Lock()
-	if !t.spanFull && t.spanNext == len(t.spans) && len(t.spans) < t.spanCap {
-		t.spans = append(t.spans, rec)
-	} else {
-		t.spans[t.spanNext] = rec
-	}
-	t.spanNext++
-	if t.spanNext == t.spanCap {
-		t.spanNext = 0
-		t.spanFull = true
-	}
-	t.spanMu.Unlock()
-}
+// Enabled reports whether the tracer retains ops; instrumentation can skip
+// building trace labels when it does not.
+func (t *Tracer) Enabled() bool { return t != nil && t.ops.size > 0 }
 
-// SpansFor returns the retained span fragments belonging to trace (hi, lo),
-// oldest first.
-func (t *Tracer) SpansFor(hi, lo uint64) []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	size := t.spanNext
-	start := 0
-	if t.spanFull {
-		size = t.spanCap
-		start = t.spanNext
-	}
-	var out []SpanRecord
-	for i := 0; i < size; i++ {
-		rec := t.spans[(start+i)%t.spanCap]
-		if rec.Hi == hi && rec.Lo == lo {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// Slow returns up to n traces from the flight recorder, newest first (n <= 0
-// means all). Deep-copied like Recent.
-func (t *Tracer) Slow(n int) []Trace {
-	if t == nil {
-		return nil
-	}
-	t.slowMu.Lock()
-	defer t.slowMu.Unlock()
-	size := t.slowNext
-	if t.slowFull {
-		size = DefaultSlowBuf
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Trace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := t.slowNext - 1 - i
-		if idx < 0 {
-			idx += DefaultSlowBuf
-		}
-		tr := t.slow[idx]
-		tr.Hops = append([]Hop(nil), tr.Hops...)
-		tr.Spans = append([]Span(nil), tr.Spans...)
-		out = append(out, tr)
-	}
-	return out
-}
-
-// FindTrace looks up a retained trace by its cluster-wide id, searching the
-// main ring and the flight recorder. Returns a deep copy.
-func (t *Tracer) FindTrace(hi, lo uint64) (Trace, bool) {
-	for _, tr := range t.Recent(0) {
-		if tr.Hi == hi && tr.Lo == lo {
-			return tr, true
-		}
-	}
-	for _, tr := range t.Slow(0) {
-		if tr.Hi == hi && tr.Lo == lo {
-			return tr, true
-		}
-	}
-	return Trace{}, false
-}
-
-func (t *Tracer) recordSlow(tr *Trace) {
-	t.slowMu.Lock()
-	if !t.slowFull && t.slowNext == len(t.slow) && len(t.slow) < DefaultSlowBuf {
-		t.slow = append(t.slow, *tr)
-	} else {
-		t.slow[t.slowNext] = *tr
-	}
-	// The ring aliases the finished trace's Hops/Spans; the op goroutine is
-	// done with them by Finish, and readers (Slow) deep-copy on the way out.
-	t.slowNext++
-	if t.slowNext == DefaultSlowBuf {
-		t.slowNext = 0
-		t.slowFull = true
-	}
-	t.slowMu.Unlock()
-}
-
-// Enabled reports whether the tracer retains traces; instrumentation can
-// skip building trace labels when it does not.
-func (t *Tracer) Enabled() bool { return t != nil && t.cap > 0 }
-
-// Start begins a trace for one operation, or returns nil if disabled.
-func (t *Tracer) Start(op, path, node string) *Trace {
-	if t == nil || t.cap <= 0 {
+// Start begins tracing one operation, or returns nil if disabled.
+func (t *Tracer) Start(op, path, node string) *Op {
+	if !t.Enabled() {
 		return nil
 	}
 	hi, lo, span := t.rand3()
-	return &Trace{
-		ID:    t.seq.Add(1),
-		Hi:    hi,
-		Lo:    lo,
-		Span:  span,
-		Op:    op,
-		Path:  path,
-		Node:  node,
-		Start: time.Now(),
-	}
+	return &Op{Root: SpanRecord{Hi: hi, Lo: lo, Span: span, Name: op, Path: path, Node: node}}
 }
 
-// Finish records the total duration and publishes the trace into the ring.
-// The ring grows geometrically up to cap so lightly-used tracers never pay
-// for the full buffer.
-func (t *Tracer) Finish(tr *Trace, total time.Duration, err error) {
-	if t == nil || tr == nil {
+// Finish records the op's total and error and publishes it, with its
+// client-side spans, into the op ring (and the flight recorder when slow).
+func (t *Tracer) Finish(o *Op, total time.Duration, err error) {
+	if t == nil || o == nil {
 		return
 	}
-	tr.TotalNS = int64(total)
+	o.Root.DurNS = int64(total)
 	if err != nil {
-		tr.Err = err.Error()
+		o.Root.Err = err.Error()
 	}
-	if slow := t.slowNS.Load(); slow > 0 && tr.TotalNS >= slow {
-		t.recordSlow(tr)
-	}
+	slow := t.slowNS.Load()
 	t.mu.Lock()
-	if !t.full && t.next == len(t.ring) && len(t.ring) < t.cap {
-		if len(t.ring) == cap(t.ring) {
-			grown := cap(t.ring) * 2
-			if grown == 0 {
-				grown = 8
-			}
-			if grown > t.cap {
-				grown = t.cap
-			}
-			next := make([]Trace, len(t.ring), grown)
-			copy(next, t.ring)
-			t.ring = next
-		}
-		t.ring = append(t.ring, *tr)
-	} else {
-		t.ring[t.next] = *tr
-	}
-	t.next++
-	if t.next == t.cap {
-		t.next = 0
-		t.full = true
+	t.ops.push(*o)
+	if slow > 0 && o.Root.DurNS >= slow {
+		t.slow.push(*o)
 	}
 	t.mu.Unlock()
 }
 
-// Recent returns up to n of the most recent traces, newest first. n <= 0
-// means all retained traces. The result is a deep copy: Hops and Spans are
-// cloned so callers can hold or mutate a snapshot without aliasing the ring
-// (a shallow struct copy would share the slices' backing arrays).
-func (t *Tracer) Recent(n int) []Trace {
-	if t == nil || t.cap <= 0 {
+// RecordSpan publishes one server span into the span ring.
+func (t *Tracer) RecordSpan(rec SpanRecord) {
+	if !t.Enabled() {
+		return
+	}
+	t.mu.Lock()
+	t.spans.push(rec)
+	t.mu.Unlock()
+}
+
+// Recent returns the records of up to n of the most recent ops, newest op
+// first, each root followed by its client-side spans. n <= 0 means all
+// retained ops.
+func (t *Tracer) Recent(n int) []SpanRecord {
+	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := t.next
-	if t.full {
-		size = t.cap
+	return flatten(t.ops.newest(n, nil))
+}
+
+// Slow returns the flight recorder's records in Recent's shape.
+func (t *Tracer) Slow(n int) []SpanRecord {
+	if t == nil {
+		return nil
 	}
-	if n <= 0 || n > size {
-		n = size
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return flatten(t.slow.newest(n, nil))
+}
+
+// SpansFor returns every retained record of trace (hi, lo): the op's own
+// records when it began on this node (from the op ring or the flight
+// recorder, so a flight-recorded op is found after the op ring evicted it),
+// then the server spans this node recorded for it, newest first.
+func (t *Tracer) SpansFor(hi, lo uint64) []SpanRecord {
+	if t == nil {
+		return nil
 	}
-	out := make([]Trace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := t.next - 1 - i
-		if idx < 0 {
-			idx += t.cap
-		}
-		tr := t.ring[idx]
-		tr.Hops = append([]Hop(nil), tr.Hops...)
-		tr.Spans = append([]Span(nil), tr.Spans...)
-		out = append(out, tr)
+	ofTrace := func(o *Op) bool { return o.Root.Hi == hi && o.Root.Lo == lo }
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ops := t.ops.newest(1, ofTrace)
+	if len(ops) == 0 {
+		ops = t.slow.newest(1, ofTrace)
+	}
+	return append(flatten(ops), t.spans.newest(0, func(r *SpanRecord) bool {
+		return r.Hi == hi && r.Lo == lo
+	})...)
+}
+
+// flatten lists each op's records in turn: its root, then its client-side
+// spans in the order they were recorded.
+func flatten(ops []Op) []SpanRecord {
+	var out []SpanRecord
+	for i := range ops {
+		out = append(append(out, ops[i].Root), ops[i].kids...)
 	}
 	return out
 }

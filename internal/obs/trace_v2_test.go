@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestTracerSeededIDDeterminism(t *testing.T) {
 		var out []uint64
 		for i := 0; i < 4; i++ {
 			op := tr.Start("READ", "/p", "n")
-			out = append(out, op.Hi, op.Lo, op.Span, tr.NextSpanID())
+			out = append(out, op.Root.Hi, op.Root.Lo, op.Root.Span, tr.NextSpanID())
 		}
 		return out
 	}
@@ -84,92 +85,80 @@ func TestTracerSeededIDDeterminism(t *testing.T) {
 	}
 }
 
-func TestSpanRingSpansFor(t *testing.T) {
-	tr := NewTracer(4) // span ring = 4 * spanRingFactor = 16
-	for i := 0; i < 10; i++ {
-		tr.RecordSpan(SpanRecord{Hi: 1, Lo: 1, Span: uint64(i + 1), Name: "a"})
-		tr.RecordSpan(SpanRecord{Hi: 2, Lo: 2, Span: uint64(i + 100), Name: "b"})
-	}
-	got := tr.SpansFor(1, 1)
-	// 20 records through a 16-slot ring: the oldest 4 are gone; of the 16
-	// retained, half belong to trace (1,1).
-	if len(got) != 8 {
-		t.Fatalf("SpansFor(1,1) = %d records, want 8", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Span < got[i-1].Span {
-			t.Fatalf("spans not oldest-first: %v", got)
-		}
-	}
-	if len(tr.SpansFor(3, 3)) != 0 {
-		t.Fatal("unknown trace returned spans")
-	}
-}
-
-func TestSlowFlightRecorder(t *testing.T) {
-	tr := NewTracer(2) // tiny main ring so chatter wraps it quickly
-	tr.SetSlowThreshold(int64(time.Millisecond))
-
-	slow := tr.Start("WRITE", "/slow", "n0")
-	tr.Finish(slow, 5*time.Millisecond, nil)
-	// Flood the main ring with fast ops.
-	for i := 0; i < 10; i++ {
-		tr.Finish(tr.Start("READ", "/fast", "n0"), time.Microsecond, nil)
-	}
-	got := tr.Slow(0)
-	if len(got) != 1 || got[0].Path != "/slow" {
-		t.Fatalf("Slow = %+v, want the one slow op", got)
-	}
-	// The main ring evicted it, but FindTrace still resolves via the recorder.
-	if _, ok := tr.FindTrace(slow.Hi, slow.Lo); !ok {
-		t.Fatal("slow trace evicted despite flight recorder")
-	}
-	// Below-threshold ops never enter the recorder.
-	if len(tr.Slow(0)) != 1 {
-		t.Fatal("fast ops leaked into the slow ring")
-	}
-}
-
 func TestAssembleTree(t *testing.T) {
-	origin := &Trace{Hi: 7, Lo: 8, Span: 100, Node: "n0", Op: "WRITE"}
 	frags := []SpanRecord{
-		{Hi: 7, Lo: 8, Parent: 100, Span: 2, Name: "pastry.next-hop", Node: "n1"},
-		{Hi: 7, Lo: 8, Parent: 100, Span: 1, Name: "nfs.WRITE", Node: "n2"},
-		{Hi: 7, Lo: 8, Parent: 1, Span: 3, Name: "kosha.mirror", Node: "n3"},
-		{Hi: 7, Lo: 8, Parent: 1, Span: 3, Name: "kosha.mirror", Node: "n3"}, // duplicate
-		{Hi: 9, Lo: 9, Parent: 100, Span: 4, Name: "other-trace", Node: "n4"},
-		{Hi: 7, Lo: 8, Parent: 999, Span: 5, Name: "orphan", Node: "n4"}, // evicted parent
+		{Hi: 7, Lo: 8, Parent: 100, Span: 2, Name: "pastry.next-hop", From: "n0", Node: "n1"},
+		{Hi: 7, Lo: 8, Parent: 100, Span: 1, Name: "nfs.WRITE", From: "n0", Node: "n2"},
+		{Hi: 7, Lo: 8, Parent: 1, Span: 3, Name: "kosha.mirror", From: "n2", Node: "n3"},
+		{Hi: 7, Lo: 8, Parent: 1, Span: 3, Name: "kosha.mirror", From: "n2", Node: "n3"}, // duplicate
+		{Hi: 9, Lo: 9, Parent: 100, Span: 4, Name: "other-trace", From: "n0", Node: "n4"},
+		{Hi: 7, Lo: 8, Parent: 999, Span: 5, Name: "orphan", From: "n0", Node: "n4"}, // evicted parent
 	}
-	at := Assemble(7, 8, origin, frags)
-	if at.SpanCount != 4 {
-		t.Fatalf("SpanCount = %d, want 4 (dedup + foreign filtered)", at.SpanCount)
+	// The origin node's records: the op's root, then its client-side spans
+	// in the order they were recorded (their ids need not be ordered).
+	origin := []SpanRecord{
+		{Hi: 7, Lo: 8, Span: 100, Name: "WRITE", Path: "/w", Node: "n0"},
+		{Hi: 7, Lo: 8, Parent: 100, Span: 60, Name: SpanHop, Node: "n1", NodeID: "ab", Prefix: 1},
+		{Hi: 7, Lo: 8, Parent: 100, Span: 50, Name: "route", Node: "n2"},
+	}
+	ats := Assemble(append(frags, origin...))
+	if len(ats) != 2 || ats[0].Hi != 7 || ats[0].Lo != 8 || ats[1].Hi != 9 {
+		t.Fatalf("Assemble split into %d traces, want (7,8) then (9,9)", len(ats))
+	}
+	at := ats[0]
+	if at.SpanCount != 7 {
+		t.Fatalf("SpanCount = %d, want 7 (dedup + foreign filtered)", at.SpanCount)
 	}
 	// n0 (origin), n1, n2, n3, n4.
 	if at.NodeCount != 5 {
 		t.Fatalf("NodeCount = %d, want 5", at.NodeCount)
 	}
-	// Roots: spans 1, 2 (children of origin) and 5 (orphan), sorted by id.
-	if len(at.Roots) != 3 || at.Roots[0].Span.Span != 1 || at.Roots[1].Span.Span != 2 || at.Roots[2].Span.Span != 5 {
+	if r := at.Root(); r == nil || r.Span != 100 || r.Path != "/w" {
+		t.Fatalf("Root = %+v", r)
+	}
+	// Roots: the op's root, then the orphan span 5.
+	if len(at.Roots) != 2 || at.Roots[0].Span.Span != 100 || at.Roots[1].Span.Span != 5 {
 		t.Fatalf("roots = %+v", at.Roots)
 	}
-	kids := at.Roots[0].Children
-	if len(kids) != 1 || kids[0].Span.Name != "kosha.mirror" {
-		t.Fatalf("children of serving span = %+v", kids)
+	// Beneath the root: its client-side spans in recorded order, then the
+	// server spans it caused, sorted by id.
+	var kids []uint64
+	for _, k := range at.Roots[0].Children {
+		kids = append(kids, k.Span.Span)
+	}
+	if fmt.Sprint(kids) != "[60 50 1 2]" {
+		t.Fatalf("children of root = %v, want [60 50 1 2]", kids)
+	}
+	serving := at.Roots[0].Children[2]
+	if len(serving.Children) != 1 || serving.Children[0].Span.Name != "kosha.mirror" {
+		t.Fatalf("children of serving span = %+v", serving.Children)
 	}
 	var walked []uint64
 	at.Walk(func(depth int, n *TraceNode) {
-		if n.Span.Span == 3 && depth != 1 {
+		if n.Span.Span == 3 && depth != 2 {
 			t.Fatalf("mirror at depth %d", depth)
 		}
 		walked = append(walked, n.Span.Span)
 	})
-	if len(walked) != 4 {
+	if len(walked) != 7 {
 		t.Fatalf("Walk visited %d nodes", len(walked))
 	}
-	// Without an origin, children of the (unknown) root span become roots.
-	at = Assemble(7, 8, nil, frags)
-	if len(at.Roots) != 3 || at.NodeCount != 4 {
-		t.Fatalf("no-origin assemble: roots=%d nodes=%d", len(at.Roots), at.NodeCount)
+	// Identical inputs render identically; collection order of server spans
+	// does not matter.
+	rev := append([]SpanRecord(nil), origin...)
+	for i := len(frags) - 1; i >= 0; i-- {
+		rev = append(rev, frags[i])
+	}
+	var again []uint64
+	Assemble(rev)[0].Walk(func(_ int, n *TraceNode) { again = append(again, n.Span.Span) })
+	if fmt.Sprint(again) != fmt.Sprint(walked) {
+		t.Fatalf("walk order depends on input order: %v vs %v", again, walked)
+	}
+	// Without the origin's records, children of the (unknown) root span
+	// become roots.
+	at = Assemble(frags)[0]
+	if at.Root() != nil || len(at.Roots) != 3 || at.NodeCount != 4 {
+		t.Fatalf("no-origin assemble: root=%v roots=%d nodes=%d", at.Root(), len(at.Roots), at.NodeCount)
 	}
 }
 
